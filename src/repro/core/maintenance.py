@@ -63,11 +63,12 @@ import math
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from heapq import nsmallest
+from operator import attrgetter
 from time import perf_counter
 from typing import Optional
 
 from repro.analysis.cost_model import Counters
-from repro.core.pair import Pair, dominates, make_pair
+from repro.core.pair import Pair, dominates, make_pair, pair_score_key
 from repro.core.skyband_update import (
     reference_sweep_skyband,
     sweep_skyband,
@@ -87,6 +88,9 @@ __all__ = [
     "SCaseMaintainer",
     "TAMaintainer",
 ]
+
+_score_key = attrgetter("score_key")
+_age_key = attrgetter("age_key")
 
 
 class SkybandDelta:
@@ -263,10 +267,6 @@ class SkybandMaintainer(ABC):
     # ------------------------------------------------------------------
     # expiry
     # ------------------------------------------------------------------
-    def _expire(self, gone: StreamObject) -> list[Pair]:
-        """Drop all skyband pairs whose older member just expired."""
-        return self._expire_batch([gone])
-
     def _expire_batch(self, expired: list[StreamObject]) -> list[Pair]:
         """Drop the skyband pairs of every expired object, refreshing the
         staircase once for the whole batch (fast path) instead of running
@@ -342,8 +342,8 @@ class SkybandMaintainer(ABC):
             suffix_sorted, K, seed=seed, recorder=self._obs
         )
         self._skyband[idx:] = kept
-        self._score_keys[idx:] = [p.score_key for p in kept]
-        self._age_keys[idx:] = [p.age_key for p in kept]
+        self._score_keys[idx:] = map(_score_key, kept)
+        self._age_keys[idx:] = map(_age_key, kept)
         prefix_count = idx - K + 1
         if prefix_count > 0:
             points = self._staircase.prefix_points(prefix_count) + points
@@ -373,7 +373,7 @@ class SkybandMaintainer(ABC):
         """
         if not candidates:
             return [], []
-        candidates.sort(key=lambda p: p.score_key)
+        candidates.sort(key=_score_key)
         skyband = self._skyband
         if (
             self.fast_path
@@ -396,14 +396,11 @@ class SkybandMaintainer(ABC):
         # byte-for-byte, including its MaxHeap-based sweep (the honest
         # A/B baseline for `repro bench throughput`).
         sweep = sweep_skyband if self.fast_path else reference_sweep_skyband
-        merged = _merge_by_score(self._skyband, candidates)
         skyband, points = sweep(
-            merged, self.K, counters=self.counters, recorder=obs
+            _merge_by_score(self._skyband, candidates), self.K,
+            counters=self.counters, recorder=obs,
         )
-        old_uids = {p.uid for p in self._skyband}
-        new_uids = {p.uid for p in skyband}
-        added = [p for p in skyband if p.uid not in old_uids]
-        removed = [p for p in self._skyband if p.uid not in new_uids]
+        added, removed = _diff(self._skyband, skyband, candidates)
         self._commit_diff(added, removed)
         self._set_skyband(skyband, KStaircase(points))
         return added, removed
@@ -422,19 +419,16 @@ class SkybandMaintainer(ABC):
         K = self.K
         skyband = self._skyband
         suffix = skyband[idx:]
-        merged = _merge_by_score(suffix, candidates)
         seed = nsmallest(K, self._age_keys[:idx])
         kept, points = sweep_skyband(
-            merged, K, seed=seed, counters=self.counters, recorder=obs
+            _merge_by_score(suffix, candidates), K, seed=seed,
+            counters=self.counters, recorder=obs,
         )
-        suffix_uids = {p.uid for p in suffix}
-        kept_uids = {p.uid for p in kept}
-        added = [p for p in kept if p.uid not in suffix_uids]
-        removed = [p for p in suffix if p.uid not in kept_uids]
+        added, removed = _diff(suffix, kept, candidates)
         self._commit_diff(added, removed)
         skyband[idx:] = kept
-        self._score_keys[idx:] = [p.score_key for p in kept]
-        self._age_keys[idx:] = [p.age_key for p in kept]
+        self._score_keys[idx:] = map(_score_key, kept)
+        self._age_keys[idx:] = map(_age_key, kept)
         prefix_count = idx - K + 1
         if prefix_count > 0:
             points = self._staircase.prefix_points(prefix_count) + points
@@ -460,8 +454,8 @@ class SkybandMaintainer(ABC):
 
     def _set_skyband(self, skyband: list[Pair], staircase: KStaircase) -> None:
         self._skyband = skyband
-        self._score_keys = [p.score_key for p in skyband]
-        self._age_keys = [p.age_key for p in skyband]
+        self._score_keys = list(map(_score_key, skyband))
+        self._age_keys = list(map(_age_key, skyband))
         self._staircase = staircase
 
     def bootstrap(self, manager: StreamManager) -> None:
@@ -479,7 +473,7 @@ class SkybandMaintainer(ABC):
             for j in range(i + 1, len(objects))
             if keep is None or keep(objects[i], objects[j])
         ]
-        pairs.sort(key=lambda p: p.score_key)
+        pairs.sort(key=_score_key)
         skyband, staircase = update_skyband_and_staircase(pairs, self.K)
         self._install_state(skyband, staircase)
 
@@ -630,7 +624,8 @@ class TAMaintainer(SkybandMaintainer):
     def _collect_candidates(
         self, manager: StreamManager, new_obj: StreamObject
     ) -> list[Pair]:
-        terms = self.scoring_function.terms
+        scoring_function = self.scoring_function
+        terms = scoring_function.terms
         num_terms = len(terms)
         local_sources = [
             iter_pairs_by_local_score(manager, new_obj, attr, fn)
@@ -639,33 +634,34 @@ class TAMaintainer(SkybandMaintainer):
         age_source = iter_pairs_by_age(manager, new_obj)
         last_local: list[Optional[float]] = [None] * num_terms
         last_age_key: Optional[int] = None
+        initialized = False
         seen: set[int] = set()
         candidates: list[Pair] = []
-        staircase = self._staircase
+        dominates = self._staircase.dominates
+        combine = scoring_function.combine
+        consider = self._consider
         counters = self.counters
         adaptive = self.schedule == "adaptive"
+        every_term = range(num_terms)
 
         while True:
-            initialized = last_age_key is not None and all(
-                ls is not None for ls in last_local
+            # Once every source has reported a frontier, it stays set.
+            initialized = initialized or (
+                last_age_key is not None and None not in last_local
             )
+            indices = every_term
             if initialized:
-                bound = self.scoring_function.combine(last_local)
                 if counters is not None:
                     counters.staircase_checks += 1
-                if staircase.dominates(
-                    (bound, -math.inf, -math.inf), last_age_key
+                if dominates(
+                    (combine(last_local), -math.inf, -math.inf), last_age_key
                 ):
                     break
-            if adaptive and initialized:
-                # Advance only the local list currently holding the
-                # threshold down — the one with the smallest frontier
-                # score — instead of all d lists (§V-B extension).
-                indices = [
-                    min(range(num_terms), key=lambda i: last_local[i])
-                ]
-            else:
-                indices = range(num_terms)
+                if adaptive:
+                    # Advance only the local list currently holding the
+                    # threshold down — the one with the smallest frontier
+                    # score — instead of all d lists (§V-B extension).
+                    indices = (min(every_term, key=last_local.__getitem__),)
             exhausted = False
             for i in indices:
                 item = next(local_sources[i], None)
@@ -674,9 +670,8 @@ class TAMaintainer(SkybandMaintainer):
                     # list means every pair has been examined.
                     exhausted = True
                     break
-                partner, local_score = item
-                last_local[i] = local_score
-                self._consider(new_obj, partner, seen, candidates)
+                partner, last_local[i] = item
+                consider(new_obj, partner, seen, candidates)
             if exhausted:
                 break
             partner = next(age_source, None)
@@ -684,7 +679,7 @@ class TAMaintainer(SkybandMaintainer):
                 break
             if partner.seq < new_obj.seq:
                 last_age_key = -partner.seq
-                self._consider(new_obj, partner, seen, candidates)
+                consider(new_obj, partner, seen, candidates)
             # Newer partners (possible under batching) are skipped: their
             # pairs belong to the newer member's own collection pass, and
             # leaving last_age_key untouched only weakens the threshold
@@ -699,15 +694,20 @@ class TAMaintainer(SkybandMaintainer):
         candidates: list[Pair],
     ) -> None:
         """Score and dominance-check one (possibly repeated) pair access."""
-        if partner.seq >= new_obj.seq or partner.seq in seen:
+        seq = partner.seq
+        if seq >= new_obj.seq or seq in seen:
             return
-        seen.add(partner.seq)
+        seen.add(seq)
         counters = self.counters
-        pair = make_pair(new_obj, partner, self.scoring_function, counters)
         if counters is not None:
+            counters.score_evaluations += 1
             counters.pairs_considered += 1
             counters.staircase_checks += 1
-        if self._staircase.dominates(pair.score_key, pair.age_key):
+        score = self.scoring_function.score(new_obj, partner)
+        # Test the staircase on the raw key: most considered pairs are
+        # dominated, so a Pair is built only for the survivors.
+        key = pair_score_key(score, seq, new_obj.seq)
+        if self._staircase.dominates(key, key[1]):
             # As in SCase: prune on the cheap dominance test before
             # paying the user-supplied filter.
             return
@@ -716,22 +716,29 @@ class TAMaintainer(SkybandMaintainer):
                 counters.pair_filter_calls += 1
             if not self.pair_filter(new_obj, partner):
                 return
-        candidates.append(pair)
+        candidates.append(Pair(new_obj, partner, score))
         if counters is not None:
             counters.candidate_pairs += 1
 
 
 def _merge_by_score(a: list[Pair], b: list[Pair]) -> list[Pair]:
-    """Merge two score-sorted pair lists into one sorted list."""
-    merged: list[Pair] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i].score_key <= b[j].score_key:
-            merged.append(a[i])
-            i += 1
-        else:
-            merged.append(b[j])
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
+    """Merge two score-sorted pair lists into one sorted list (the sort
+    finds the two runs and merges them; score keys are unique)."""
+    merged = a + b
+    merged.sort(key=_score_key)
     return merged
+
+
+def _diff(
+    before: list[Pair], after: list[Pair], candidates: list[Pair]
+) -> tuple[list[Pair], list[Pair]]:
+    """``(added, removed)`` when ``after`` was swept from ``before``
+    merged with ``candidates``.  Candidates are new pairs, never members
+    of ``before``, so the kept candidates are exactly the added pairs,
+    and a member of ``before`` left only if fewer of them were kept."""
+    candidate_ids = set(map(id, candidates))
+    added = [p for p in after if id(p) in candidate_ids]
+    if len(after) - len(added) == len(before):
+        return added, []
+    kept_ids = set(map(id, after))
+    return added, [p for p in before if id(p) not in kept_ids]

@@ -31,9 +31,19 @@ from typing import Any, Optional
 
 from repro.stream.object import StreamObject
 
-__all__ = ["Pair", "dominates", "window_age_key_bound"]
+__all__ = ["Pair", "dominates", "pair_score_key", "window_age_key_bound"]
 
 _UID_SHIFT = 40  # seq numbers stay far below 2**40 in any realistic run
+
+
+def pair_score_key(score: float, older_seq: int,
+                   newer_seq: int) -> tuple[float, int, int]:
+    """The footnote-1 key ``(score, age_key, uid)`` of a pair.
+
+    Lets a hot loop test the staircase on a pair it has not built yet;
+    :class:`Pair` derives its own key here too.
+    """
+    return (score, -older_seq, (older_seq << _UID_SHIFT) | newer_seq)
 
 
 class Pair:
@@ -43,7 +53,7 @@ class Pair:
     smaller sequence number (``a.id < b.id`` in the paper's SQL example).
     """
 
-    __slots__ = ("older", "newer", "score", "score_key", "uid")
+    __slots__ = ("older", "newer", "score", "score_key", "age_key", "uid")
 
     def __init__(self, a: StreamObject, b: StreamObject, score: float) -> None:
         if a.seq == b.seq:
@@ -53,20 +63,19 @@ class Pair:
         else:
             self.older, self.newer = b, a
         self.score = score
+        self.score_key = key = pair_score_key(
+            score, self.older.seq, self.newer.seq
+        )
+        #: time-invariant age coordinate: larger means older
+        self.age_key = key[1]
         #: a unique integer id for the (unordered) pair of objects
-        self.uid = (self.older.seq << _UID_SHIFT) | self.newer.seq
-        self.score_key = (score, -self.older.seq, self.uid)
+        self.uid = key[2]
 
     # ------------------------------------------------------------------
     @property
     def oldest_seq(self) -> int:
         """Sequence number of the older member (controls expiry)."""
         return self.older.seq
-
-    @property
-    def age_key(self) -> int:
-        """Time-invariant age coordinate: larger means older."""
-        return -self.older.seq
 
     def age(self, now_seq: int) -> int:
         """The paper's age at stream time ``now_seq``."""

@@ -30,13 +30,13 @@ class KStaircase:
     __slots__ = ("_score_keys", "_age_keys")
 
     def __init__(self, points: Sequence[tuple[Any, int]] = ()) -> None:
-        """``points`` are ``(score_key, age_key)``, ascending in score_key.
-
-        Ages must be non-increasing; both properties are guaranteed by the
-        producing Algorithm 4 and asserted cheaply here.
+        """``points`` are ``(score_key, age_key)``, ascending in score_key
+        with non-increasing ages, as Algorithm 4 produces them; they are
+        not checked here (:meth:`check_invariants` does that).
         """
-        self._score_keys = [score_key for score_key, _ in points]
-        self._age_keys = [age_key for _, age_key in points]
+        score_keys, age_keys = zip(*points) if points else ((), ())
+        self._score_keys = list(score_keys)
+        self._age_keys = list(age_keys)
 
     def __len__(self) -> int:
         return len(self._score_keys)

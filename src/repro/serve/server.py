@@ -917,6 +917,9 @@ class ServeServer:
         if timestamps is not None and not isinstance(timestamps, list):
             raise ProtocolError("bad_request",
                                 "'timestamps' must be a list when present")
+        # The whole batch is checked before any quota token is spent or
+        # any row enters the stream: a bad row rejects it atomically.
+        ns.session.check_batch(rows, timestamps)
         trace = trace_of(frame)
         requested = len(rows)
         granted = ns.grant(requested)

@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.core.monitor import QueryHandle, TopKPairsMonitor
 from repro.core.pair import Pair
-from repro.exceptions import ProtocolError
+from repro.exceptions import InvalidParameterError, ProtocolError
 from repro.obs.spans import NULL_SPANS
 from repro.scoring.base import ScoringFunction
 from repro.scoring.library import (
@@ -42,6 +42,8 @@ from repro.scoring.library import (
     top_k_dissimilar_pairs,
     top_k_similar_pairs,
 )
+from repro.stream.manager import checked_values
+from repro.stream.object import is_finite_real
 
 __all__ = ["DeltaEvent", "QueryRecord", "SCORING_NAMES", "ServerMonitor"]
 
@@ -180,13 +182,7 @@ class ServerMonitor:
         away.  ``handle_id`` pins the wire handle explicitly (checkpoint
         restore re-registers queries under their saved names).
         """
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ProtocolError("bad_request", f"k must be an int >= 1, got {k!r}")
-        if n is not None and (not isinstance(n, int) or isinstance(n, bool)
-                              or n < 2):
-            raise ProtocolError(
-                "bad_request", f"n must be an int >= 2, got {n!r}"
-            )
+        self._check_spec(k, n)
         scoring_fn = self.scoring_for(scoring)
         if handle_id is None:
             handle_id = f"q{self._next_handle}"
@@ -210,6 +206,21 @@ class ServerMonitor:
         )
         self._queries[handle_id] = record
         return handle_id
+
+    def _check_spec(self, k, n) -> None:
+        """The ``k``/``n`` rule shared by ``register`` and ``snapshot``:
+        ``k`` an int >= 1, ``n`` (optional) an int from 2 to the window
+        size; bools are not ints here."""
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ProtocolError("bad_request", f"k must be an int >= 1, got {k!r}")
+        window = self.config["window_size"]
+        if n is not None and (not isinstance(n, int) or isinstance(n, bool)
+                              or not 2 <= n <= window):
+            raise ProtocolError(
+                "bad_request",
+                f"n must be an int from 2 to the window size {window}, "
+                f"got {n!r}",
+            )
 
     def _make_listener(self, handle_id: str):
         def on_change(entered: list[Pair], left: list[Pair]) -> None:
@@ -242,6 +253,57 @@ class ServerMonitor:
     # ------------------------------------------------------------------
     # ingest + delta extraction
     # ------------------------------------------------------------------
+    def check_batch(self, rows: list, timestamps: Optional[list]) -> None:
+        """Raise ``bad_request`` unless every row of a wire batch can
+        enter the stream, so a rejected batch ingests nothing.
+
+        Each row is a list of ``num_attributes`` finite real values.
+        ``timestamps``, when given, has one finite real per row; a time
+        window needs them, non-decreasing from its newest timestamp on.
+        """
+        num_attributes = self.config["num_attributes"]
+        for index, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise ProtocolError(
+                    "bad_request", f"row {index} is not a list: {row!r}"
+                )
+            try:
+                checked_values(row, num_attributes)
+            except InvalidParameterError as exc:
+                raise ProtocolError("bad_request",
+                                    f"row {index}: {exc}") from None
+        time_window = self.config["time_horizon"] is not None
+        if timestamps is None:
+            if time_window and rows:
+                raise ProtocolError(
+                    "bad_request", "a time window needs 'timestamps'"
+                )
+            return
+        if len(timestamps) != len(rows):
+            raise ProtocolError(
+                "bad_request",
+                f"{len(timestamps)} timestamps for {len(rows)} rows",
+            )
+        newest = self.monitor.manager.newest()
+        previous = None
+        if time_window and newest is not None:
+            previous = newest.timestamp
+        for index, timestamp in enumerate(timestamps):
+            if not is_finite_real(timestamp):
+                raise ProtocolError(
+                    "bad_request",
+                    f"timestamp {index} is not a finite real number: "
+                    f"{timestamp!r}",
+                )
+            if time_window:
+                if previous is not None and timestamp < previous:
+                    raise ProtocolError(
+                        "bad_request",
+                        f"timestamp {index} ({timestamp!r}) is before "
+                        f"the stream's newest ({previous!r})",
+                    )
+                previous = timestamp
+
     def ingest(
         self,
         rows: Iterable[Sequence[float]],
@@ -292,8 +354,7 @@ class ServerMonitor:
     def snapshot(self, scoring: str, k: int,
                  n: Optional[int] = None) -> list[Pair]:
         """One-off snapshot answer (Algorithm 2) for an ad-hoc spec."""
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ProtocolError("bad_request", f"k must be an int >= 1, got {k!r}")
+        self._check_spec(k, n)
         return self.monitor.snapshot_query(self.scoring_for(scoring), k, n)
 
     def stats(self, *, include_metrics: bool = False) -> dict:

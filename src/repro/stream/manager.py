@@ -21,11 +21,30 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from repro.exceptions import InvalidParameterError
-from repro.stream.object import StreamObject
+from repro.stream.object import StreamObject, is_finite_real
 from repro.stream.window import CountBasedWindow, TimeBasedWindow
 from repro.structures.skiplist import SkipList, SkipNode
 
-__all__ = ["StreamManager", "ArrivalEvent"]
+__all__ = ["StreamManager", "ArrivalEvent", "checked_values"]
+
+
+def checked_values(values: Sequence[float], num_attributes: int) -> tuple:
+    """``values`` as a tuple, after checking it holds exactly
+    ``num_attributes`` finite real numbers (no str, None, bool, NaN or
+    infinity); raises :class:`InvalidParameterError` otherwise."""
+    values = tuple(values)
+    if len(values) != num_attributes:
+        raise InvalidParameterError(
+            f"expected {num_attributes} attribute values, "
+            f"got {len(values)}"
+        )
+    for value in values:
+        if not is_finite_real(value):
+            raise InvalidParameterError(
+                f"attribute values must be finite real numbers, "
+                f"got {value!r}"
+            )
+    return values
 
 
 class ArrivalEvent:
@@ -104,6 +123,9 @@ class StreamManager:
 
     def oldest(self) -> Optional[StreamObject]:
         return self._window.oldest()
+
+    def newest(self) -> Optional[StreamObject]:
+        return self._window.newest()
 
     def attribute_list(self, attribute: int) -> SkipList:
         """The skip list sorted on ``attribute`` (0-based)."""
@@ -206,15 +228,13 @@ class StreamManager:
         Expired objects are removed from every sorted list before the
         event is returned, so consumers always see a consistent window
         that *includes* the new object and *excludes* the expired ones.
+        Values that fail :func:`checked_values`, and a timestamp a time
+        window refuses, raise before anything changes.
         """
-        if len(values) != self.num_attributes:
-            raise InvalidParameterError(
-                f"expected {self.num_attributes} attribute values, "
-                f"got {len(values)}"
-            )
+        values = checked_values(values, self.num_attributes)
         obj = StreamObject(self._next_seq, values, timestamp, payload)
-        self._next_seq += 1
         expired = self._window.push(obj)
+        self._next_seq += 1
         for gone in expired:
             nodes = self._nodes.pop(gone.seq)
             for attribute, node in enumerate(nodes):

@@ -17,9 +17,21 @@ so ``a`` is older than ``b`` exactly when ``a.seq < b.seq``.
 
 from __future__ import annotations
 
+import math
+from numbers import Real
 from typing import Any, Optional, Sequence
 
-__all__ = ["StreamObject"]
+__all__ = ["StreamObject", "is_finite_real"]
+
+
+def is_finite_real(value: Any) -> bool:
+    """Whether ``value`` is a finite real number (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 class StreamObject:

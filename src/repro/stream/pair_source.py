@@ -10,7 +10,8 @@ manager's sorted attribute lists make this possible:
 * the local function's declared trends say, per side, whether the best
   partner is the nearest one (walk *outward* from ``o``) or the farthest
   one (walk *inward* from the list's end);
-* a two-cursor merge then yields partners in ascending local score.
+* merging the two sides' cursors yields partners in ascending local
+  score.
 
 A third source enumerates pairs of ``o`` in ascending *age*: the pair
 ``(o, o_j)`` has age ``o_j.age`` (``o`` is the newest object), so newest
@@ -19,12 +20,11 @@ partners first.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.scoring.local import LocalScoringFunction, Trend
 from repro.stream.manager import StreamManager
 from repro.stream.object import StreamObject
-from repro.structures.skiplist import SkipList, SkipNode
 
 __all__ = ["iter_pairs_by_local_score", "iter_pairs_by_age"]
 
@@ -40,23 +40,50 @@ def iter_pairs_by_local_score(
 
     ``obj`` must already be inserted in the stream manager (it is the
     freshly arrived object).  Each window partner is yielded exactly once.
+    Each side of ``obj``'s node has one cursor, best local score first:
+    ``INCREASING_AWAY`` walks outward from the node to the list's end,
+    ``DECREASING_AWAY`` inward from that end to the node.  On equal
+    scores the partner above ``obj`` comes first.
     """
     skiplist = manager.attribute_list(attribute)
     own_node = manager.node_for(obj, attribute)
     reference = obj.values[attribute]
-
-    above = _side_cursor(
-        skiplist, own_node, side="above", trend=local_fn.trend_above
-    )
-    below = _side_cursor(
-        skiplist, own_node, side="below", trend=local_fn.trend_below
-    )
-
-    def scored(source: Iterator[StreamObject]) -> Iterator[tuple[StreamObject, float]]:
-        for partner in source:
-            yield partner, local_fn.score(reference, partner.values[attribute])
-
-    yield from _merge_ascending(scored(above), scored(below))
+    score = local_fn.score
+    above_outward = local_fn.trend_above is Trend.INCREASING_AWAY
+    below_outward = local_fn.trend_below is Trend.INCREASING_AWAY
+    if above_outward:
+        above, above_end = own_node.forward[0], None
+    else:
+        above, above_end = skiplist.node_at(-1), own_node
+    if below_outward:
+        below, below_end = own_node.prev, None
+    else:
+        below, below_end = skiplist.first_node(), own_node
+    if above is not above_end:
+        above_score = score(reference, above.value.values[attribute])
+    if below is not below_end:
+        below_score = score(reference, below.value.values[attribute])
+    while above is not above_end and below is not below_end:
+        if above_score <= below_score:
+            yield above.value, above_score
+            above = above.forward[0] if above_outward else above.prev
+            if above is not above_end:
+                above_score = score(reference, above.value.values[attribute])
+        else:
+            yield below.value, below_score
+            below = below.prev if below_outward else below.forward[0]
+            if below is not below_end:
+                below_score = score(reference, below.value.values[attribute])
+    while above is not above_end:
+        yield above.value, above_score
+        above = above.forward[0] if above_outward else above.prev
+        if above is not above_end:
+            above_score = score(reference, above.value.values[attribute])
+    while below is not below_end:
+        yield below.value, below_score
+        below = below.prev if below_outward else below.forward[0]
+        if below is not below_end:
+            below_score = score(reference, below.value.values[attribute])
 
 
 def iter_pairs_by_age(
@@ -71,68 +98,3 @@ def iter_pairs_by_age(
     for partner in manager.newest_first():
         if partner.seq != obj.seq:
             yield partner
-
-
-# ----------------------------------------------------------------------
-# cursors
-# ----------------------------------------------------------------------
-def _side_cursor(
-    skiplist: SkipList,
-    own_node: SkipNode,
-    *,
-    side: str,
-    trend: Trend,
-) -> Iterator[StreamObject]:
-    """Partners on one side of ``own_node``, best local score first.
-
-    ``INCREASING_AWAY`` walks outward from the object's node;
-    ``DECREASING_AWAY`` walks inward from the relevant end of the list.
-    """
-    if trend is Trend.INCREASING_AWAY:
-        if side == "above":
-            node = own_node.next_at(0)
-            while node is not None:
-                yield node.value
-                node = node.next_at(0)
-        else:
-            node = own_node.prev
-            while node is not None:
-                yield node.value
-                node = node.prev
-    else:
-        if side == "above":
-            # farthest above first: from the maximum end inward to own_node
-            node: Optional[SkipNode] = (
-                skiplist.node_at(len(skiplist) - 1) if len(skiplist) else None
-            )
-            while node is not None and node is not own_node:
-                yield node.value
-                node = node.prev
-        else:
-            # farthest below first: from the minimum end inward to own_node
-            node = skiplist.first_node()
-            while node is not None and node is not own_node:
-                yield node.value
-                node = node.next_at(0)
-
-
-def _merge_ascending(
-    a: Iterator[tuple[StreamObject, float]],
-    b: Iterator[tuple[StreamObject, float]],
-) -> Iterator[tuple[StreamObject, float]]:
-    """Merge two score-ascending streams into one."""
-    item_a = next(a, None)
-    item_b = next(b, None)
-    while item_a is not None and item_b is not None:
-        if item_a[1] <= item_b[1]:
-            yield item_a
-            item_a = next(a, None)
-        else:
-            yield item_b
-            item_b = next(b, None)
-    while item_a is not None:
-        yield item_a
-        item_a = next(a, None)
-    while item_b is not None:
-        yield item_b
-        item_b = next(b, None)

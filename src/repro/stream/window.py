@@ -13,7 +13,7 @@ from collections import deque
 from typing import Iterator, Optional
 
 from repro.exceptions import WindowError
-from repro.stream.object import StreamObject
+from repro.stream.object import StreamObject, is_finite_real
 
 __all__ = ["CountBasedWindow", "TimeBasedWindow"]
 
@@ -89,6 +89,10 @@ class TimeBasedWindow:
         """Admit ``obj``; return every object that falls off the horizon."""
         if obj.timestamp is None:
             raise WindowError("time-based windows require object timestamps")
+        if not is_finite_real(obj.timestamp):
+            raise WindowError(
+                f"timestamps must be finite real numbers, got {obj.timestamp!r}"
+            )
         if self._objects and obj.timestamp < self._objects[-1].timestamp:
             raise WindowError(
                 "timestamps must be non-decreasing: "
