@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import statistics
 
-from repro.analysis.cost_model import Counters
 from repro.analysis.theory import (
     expected_new_skyband_pairs,
     expected_skyband_size,
@@ -20,6 +19,7 @@ from repro.analysis.theory import (
 from repro.bench.harness import PaperParameters, synthetic_rows
 from repro.bench.reporting import print_figure
 from repro.core.maintenance import SCaseMaintainer
+from repro.obs.cost_model import Counters
 from repro.scoring.library import k_closest_pairs
 from repro.stream.manager import StreamManager
 

@@ -22,8 +22,8 @@ Quickstart::
         print(pair.older.values, pair.newer.values, pair.score)
 """
 
-from repro.analysis import Counters
 from repro.obs import (
+    Counters,
     MetricsRecorder,
     MetricsRegistry,
     NullRecorder,

@@ -1,9 +1,8 @@
-"""Analysis utilities: operation counters (cost model) and the paper's
-closed-form expectations."""
+"""Analysis utilities: the paper's closed-form expectations and
+complexity-trend fitting.  The operation counters live in
+:mod:`repro.obs.cost_model`."""
 
 from repro.analysis.complexity import PowerLawFit, doubling_ratios, fit_power_law
-from repro.analysis.cost_model import Counters, CountingScoringFunction
-from repro.analysis.trace import TraceRecorder
 from repro.analysis.theory import (
     expected_new_skyband_pairs,
     expected_skyband_size,
@@ -13,10 +12,7 @@ from repro.analysis.theory import (
 )
 
 __all__ = [
-    "Counters",
-    "CountingScoringFunction",
     "PowerLawFit",
-    "TraceRecorder",
     "doubling_ratios",
     "fit_power_law",
     "expected_new_skyband_pairs",

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.analysis.cost_model import Counters
 from repro.core.pair import Pair
+from repro.obs.cost_model import Counters
 
 __all__ = ["linear_top_k"]
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional, Sequence
 
-from repro.analysis.cost_model import Counters
 from repro.core.pair import Pair, make_pair
+from repro.obs.cost_model import Counters
 from repro.scoring.base import ScoringFunction
 from repro.stream.object import StreamObject
 from repro.structures.selection import quickselect_smallest

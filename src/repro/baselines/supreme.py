@@ -15,7 +15,7 @@ time, letting it meet the cost lower bounds:
 Here the "oracle" is a real :class:`~repro.core.maintenance.SCaseMaintainer`
 (so supreme stays exact), and the *chargeable* work is isolated: it is
 timed into :attr:`chargeable_seconds` and counted into the supplied
-:class:`~repro.analysis.cost_model.Counters`, while oracle work is neither.
+:class:`~repro.obs.cost_model.Counters`, while oracle work is neither.
 Benchmarks report only the chargeable cost, mirroring the paper's
 accounting.  ``supreme++`` (Fig 9) is the same algorithm instantiated per
 query with ``K = k`` and ``window_size = n``.
@@ -26,9 +26,9 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Optional, Sequence
 
-from repro.analysis.cost_model import Counters
 from repro.core.maintenance import SCaseMaintainer
 from repro.core.pair import Pair
+from repro.obs.cost_model import Counters
 from repro.scoring.base import ScoringFunction
 from repro.stream.manager import StreamManager
 

@@ -125,9 +125,9 @@ def _bench_checkpoint(client: ServeClient, path: str, k: int) -> dict:
     client.register("furthest", k=k)
     meta = client.checkpoint(path)
     # Replay re-ingests the window through the engine (the restore
-    # oracle, and the only option for v1 documents); structural
-    # bulk-loads the serialized skybands and skiplists.  The gap between
-    # the two numbers is what the v2 format buys.
+    # oracle); structural bulk-loads the serialized skybands and
+    # skiplists.  The gap between the two numbers is what the v2
+    # format's maintainer state buys.
     start = perf_counter()
     restored = restore_server_monitor(path, mode="replay")
     restore_seconds = perf_counter() - start

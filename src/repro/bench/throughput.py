@@ -1,23 +1,22 @@
 """Per-tick maintenance throughput: the bench behind ``repro bench
 throughput`` and ``benchmarks/bench_throughput.py``.
 
-Measures the incremental fast path (coalesced expiry + seeded suffix
-re-sweep, ``fast_path=True``, the default) against the legacy
-rebuild-per-expiry / full-sweep path (``fast_path=False``) on identical
-synthetic streams:
+Streams identical synthetic rows through the incremental maintenance
+path (coalesced expiry + seeded suffix re-sweep):
 
 * the three §VI-A distributions (uniform / correlated / anticorrelated)
   over a count-based window — one expiry per tick, the paper's steady
   state;
 * an **expiry-heavy** workload over a time-based window whose timestamps
   periodically jump, so a single tick evicts a whole burst of objects —
-  the case where the legacy path pays one full Algorithm 4 rebuild *per
-  expired object* and the fast path pays a single staircase refresh.
+  the case coalesced expiry exists for: one staircase refresh per burst
+  instead of one Algorithm 4 rebuild per expired object (the
+  ``sweeps`` count shows it).
 
-Each workload reports uninstrumented ticks/sec for both paths (the
-speedup ratio is the number the ≥2× acceptance gate reads) plus p50/p99
-tick latency and a per-phase time breakdown from an instrumented
-fast-path run (:class:`~repro.obs.MetricsRecorder` tick trace).
+Each workload reports uninstrumented ticks/sec (best of ``repeats``)
+plus p50/p99 tick latency, a per-phase time breakdown and the
+eviction / sweep / apply-path counts from an instrumented run
+(:class:`~repro.obs.MetricsRecorder` tick trace).
 
 Results go to ``BENCH_throughput.json``; see docs/performance.md for how
 to read them.  ``REPRO_BENCH_SCALE`` shrinks or grows every stream (CI
@@ -72,21 +71,18 @@ def expiry_heavy_rows(
     return rows
 
 
-def _build_monitor(k: int, d: int, *, window, horizon, fast_path,
+def _build_monitor(k: int, d: int, *, window, horizon,
                    recorder=None) -> tuple[TopKPairsMonitor, object]:
     monitor = TopKPairsMonitor(
-        window, d, time_horizon=horizon, recorder=recorder,
-        fast_path=fast_path,
+        window, d, time_horizon=horizon, recorder=recorder
     )
     handle = monitor.register_query(k_closest_pairs(d), k=k)
     return monitor, handle
 
 
-def _timed_run(rows, k, d, *, window, horizon, fast_path) -> float:
+def _timed_run(rows, k, d, *, window, horizon) -> float:
     """Wall seconds to stream ``rows`` (uninstrumented monitor)."""
-    monitor, handle = _build_monitor(
-        k, d, window=window, horizon=horizon, fast_path=fast_path
-    )
+    monitor, handle = _build_monitor(k, d, window=window, horizon=horizon)
     start = perf_counter()
     monitor.extend(rows)
     elapsed = perf_counter() - start
@@ -103,11 +99,11 @@ def _percentile(sorted_values: list[float], fraction: float) -> float:
 
 
 def _instrumented_stats(rows, k, d, *, window, horizon) -> dict:
-    """p50/p99 tick latency and per-phase µs/tick from a fast-path run."""
+    """p50/p99 tick latency, per-phase µs/tick and maintenance counts
+    from an instrumented run."""
     recorder = MetricsRecorder()
     monitor, handle = _build_monitor(
-        k, d, window=window, horizon=horizon, fast_path=True,
-        recorder=recorder,
+        k, d, window=window, horizon=horizon, recorder=recorder
     )
     monitor.extend(rows)
     monitor.results(handle)
@@ -140,30 +136,16 @@ def _instrumented_stats(rows, k, d, *, window, horizon) -> dict:
     }
 
 
-def _bench_workload(name: str, rows, k, d, *, window, horizon,
-                    repeats: int) -> dict:
-    fast = min(
-        _timed_run(rows, k, d, window=window, horizon=horizon,
-                   fast_path=True)
-        for _ in range(repeats)
-    )
-    legacy = min(
-        _timed_run(rows, k, d, window=window, horizon=horizon,
-                   fast_path=False)
+def _bench_workload(rows, k, d, *, window, horizon, repeats: int) -> dict:
+    seconds = min(
+        _timed_run(rows, k, d, window=window, horizon=horizon)
         for _ in range(repeats)
     )
     ticks = len(rows)
     result = {
         "ticks": ticks,
-        "fast": {
-            "seconds": fast,
-            "ticks_per_sec": ticks / fast if fast else 0.0,
-        },
-        "legacy": {
-            "seconds": legacy,
-            "ticks_per_sec": ticks / legacy if legacy else 0.0,
-        },
-        "speedup": legacy / fast if fast else 0.0,
+        "seconds": seconds,
+        "ticks_per_sec": ticks / seconds if seconds else 0.0,
     }
     result.update(
         _instrumented_stats(rows, k, d, window=window, horizon=horizon)
@@ -184,25 +166,23 @@ def run_throughput(*, repeats: int = 3, k: int | None = None,
         rows = synthetic_rows(window + ticks, d, distribution=distribution,
                               seed=7)
         workloads[distribution] = _bench_workload(
-            distribution, rows, k, d, window=window, horizon=None,
-            repeats=repeats,
+            rows, k, d, window=window, horizon=None, repeats=repeats
         )
     # Time-based window: occupancy is governed by the horizon; the
     # count-based cap is set high enough to never bind.  K = 50 (a paper
-    # K-sweep value) so the skyband the legacy path rebuilds per expired
-    # object is deep enough to expose the coalescing win.
+    # K-sweep value) so each burst's expiries refresh a deep skyband.
     heavy_k = max(k, 50)
     horizon = float(window)
     heavy_rows = expiry_heavy_rows(window + ticks, d, horizon=horizon)
     workloads["expiry_heavy"] = _bench_workload(
-        "expiry_heavy", heavy_rows, heavy_k, d, window=4 * window,
-        horizon=horizon, repeats=repeats,
+        heavy_rows, heavy_k, d, window=4 * window, horizon=horizon,
+        repeats=repeats,
     )
     return {
         "scale": SCALE,
         "params": {
             "k": k,
-            "k_expiry_heavy": max(k, 50),
+            "k_expiry_heavy": heavy_k,
             "d": d,
             "window": window,
             "ticks": ticks,

@@ -26,7 +26,7 @@ Usage examples::
     # stream with full instrumentation, dump Prometheus text metrics
     python -m repro obs --dataset synthetic --steps 1000 --format prometheus
 
-    # fast-path vs legacy maintenance throughput -> BENCH_throughput.json
+    # per-tick maintenance throughput -> BENCH_throughput.json
     python -m repro bench throughput
 
     # serve the monitor over TCP (NDJSON protocol, docs/serving.md),
@@ -438,7 +438,7 @@ def build_bench_parser() -> argparse.ArgumentParser:
                         help="result file (default: the suite's "
                         "BENCH_*.json in the working directory)")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repetitions per arm, best-of "
+                        help="timing repetitions per workload, best-of "
                         "(default 3)")
     parser.add_argument("--ticks", type=int, default=None,
                         help="measured stream length (default: "
@@ -524,10 +524,9 @@ def run_bench(argv: Sequence[str],
     )
     for name, workload in result["workloads"].items():
         print(
-            f"{name}: {workload['fast']['ticks_per_sec']:.0f} ticks/sec "
-            f"fast, {workload['legacy']['ticks_per_sec']:.0f} legacy "
-            f"({workload['speedup']:.2f}x), p99 "
-            f"{workload['latency_us']['p99']:.0f} us",
+            f"{name}: {workload['ticks_per_sec']:.0f} ticks/sec, p99 "
+            f"{workload['latency_us']['p99']:.0f} us, "
+            f"{workload['sweeps']:.0f} sweeps",
             file=stdout,
         )
     print(f"written to {path}", file=stdout)
@@ -806,8 +805,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default="structural",
         help="how --restore rebuilds engine state: 'structural' "
         "bulk-loads the serialized skybands (fast), 'replay' re-ingests "
-        "the window through the engine (slow oracle; also the v1 "
-        "fallback) (default structural)",
+        "the window through the engine (slow oracle) (default "
+        "structural)",
     )
     parser.add_argument(
         "--standby", default=None, metavar="HOST:PORT",

@@ -22,10 +22,10 @@ from __future__ import annotations
 from bisect import insort
 from typing import Optional
 
-from repro.analysis.cost_model import Counters
 from repro.core.maintenance import SkybandDelta
 from repro.core.pair import Pair
 from repro.core.query import TopKPairsQuery, answer_snapshot
+from repro.obs.cost_model import Counters
 from repro.structures.pst import PrioritySearchTree
 
 __all__ = ["ContinuousQueryState"]

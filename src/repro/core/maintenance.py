@@ -30,12 +30,13 @@ all maximal-age pairs expire together — but a stale staircase could keep
 counting expired dominators, so it must be refreshed before the next
 arrival's dominance tests).
 
-Incremental fast path (``fast_path=True``, the default)
--------------------------------------------------------
-The straightforward implementation pays a full Algorithm 4 rebuild per
-expired object and a full sweep + whole-skyband set diff per arrival.
-Both are avoidable because a sweep's heap state at position ``i`` depends
-only on the kept pairs before ``i``:
+Incremental maintenance
+-----------------------
+Every tick runs the paper's procedure once: expire, collect candidates,
+re-run Algorithm 4.  A naive implementation pays a full Algorithm 4
+rebuild per expired object and a full sweep + whole-skyband set diff per
+arrival.  Both are avoidable because a sweep's heap state at position
+``i`` depends only on the kept pairs before ``i``:
 
 * **Coalesced expiry** — all of a tick's (or batch's) expiries drop their
   pairs in one pass, and the staircase is refreshed once: the prefix
@@ -50,11 +51,10 @@ only on the kept pairs before ``i``:
   code falls back to the classic full sweep (same results, better
   constants at that size).
 
-Both paths produce bit-identical skybands and staircases to the full
-sweep — enforced by ``repro.audit``'s STAIR-SYNC / SKB-* invariants and
-the brute-force cross-check.  ``fast_path=False`` restores the
-rebuild-per-expiry / sweep-only behaviour (the A/B baseline that
-``repro bench throughput`` measures against).
+Both produce bit-identical skybands and staircases to a from-scratch
+sweep over every window pair — enforced by ``repro.audit``'s STAIR-SYNC
+/ SKB-* invariants, the brute-force cross-check and the test suite's
+reference-sweep oracle.
 """
 
 from __future__ import annotations
@@ -65,17 +65,16 @@ from bisect import bisect_left
 from heapq import nsmallest
 from operator import attrgetter
 from time import perf_counter
-from typing import Optional
+from typing import Optional, Sequence
 
-from repro.analysis.cost_model import Counters
 from repro.core.pair import Pair, dominates, make_pair, pair_score_key
 from repro.core.skyband_update import (
-    reference_sweep_skyband,
     sweep_skyband,
     update_skyband_and_staircase,
 )
 from repro.core.staircase import KStaircase
 from repro.exceptions import InvalidParameterError, ScoringFunctionError
+from repro.obs.cost_model import Counters
 from repro.obs.recorder import NULL_RECORDER
 from repro.stream.manager import StreamManager
 from repro.stream.object import StreamObject
@@ -139,10 +138,6 @@ class SkybandMaintainer(ABC):
     filtered pair set*, which answers every query sharing the same
     (scoring function, filter) combination.  Filters must be symmetric
     and time-invariant for a given pair of objects.
-
-    ``fast_path`` selects the incremental per-tick maintenance described
-    in the module docstring; disabling it restores the historical
-    rebuild-per-expiry / full-sweep-per-arrival behaviour.
     """
 
     #: use the incremental insertion path when
@@ -158,7 +153,6 @@ class SkybandMaintainer(ABC):
         counters: Optional[Counters] = None,
         pair_filter=None,
         recorder=None,
-        fast_path: bool = True,
     ) -> None:
         if K < 1:
             raise InvalidParameterError(f"K must be >= 1, got {K}")
@@ -166,7 +160,6 @@ class SkybandMaintainer(ABC):
         self.K = K
         self.counters = counters
         self.pair_filter = pair_filter
-        self.fast_path = fast_path
         self._obs = recorder if recorder is not None else NULL_RECORDER
         self._skyband: list[Pair] = []
         self._score_keys: list[tuple] = []
@@ -203,29 +196,14 @@ class SkybandMaintainer(ABC):
         new_obj: StreamObject,
         expired: list[StreamObject],
     ) -> SkybandDelta:
-        """Process one arrival event (expiries first, then the arrival)."""
-        obs = self._obs
-        if not obs.enabled:
-            expired_pairs = self._expire_batch(expired)
-            added, removed = self._arrive(manager, new_obj)
-            return SkybandDelta(added, removed, expired_pairs)
-        start = perf_counter()
-        expired_pairs = self._expire_batch(expired)
-        obs.phase("expire", perf_counter() - start)
-        start = perf_counter()
-        candidates = self._collect_candidates(manager, new_obj)
-        obs.phase("generate", perf_counter() - start)
-        obs.on_candidates(len(candidates))
-        start = perf_counter()
-        added, removed = self._apply_candidates(candidates)
-        obs.phase("insert", perf_counter() - start)
-        obs.on_skyband_delta(len(added), len(removed), len(expired_pairs))
-        return SkybandDelta(added, removed, expired_pairs)
+        """Process one arrival event (expiries first, then the arrival):
+        a batch of one."""
+        return self.on_batch(manager, (new_obj,), expired)
 
     def on_batch(
         self,
         manager: StreamManager,
-        new_objs: list[StreamObject],
+        new_objs: Sequence[StreamObject],
         expired: list[StreamObject],
     ) -> SkybandDelta:
         """Process several arrivals with one Algorithm 4 sweep.
@@ -242,26 +220,25 @@ class SkybandMaintainer(ABC):
         batch; throughput vs latency is measured in bench_ablation.
         """
         obs = self._obs
-        if not obs.enabled:
-            expired_pairs = self._expire_batch(expired)
-            candidates: list[Pair] = []
-            for new_obj in new_objs:
-                candidates.extend(self._collect_candidates(manager, new_obj))
-            added, removed = self._apply_candidates(candidates)
-            return SkybandDelta(added, removed, expired_pairs)
-        start = perf_counter()
+        enabled = obs.enabled
+        if enabled:
+            start = perf_counter()
         expired_pairs = self._expire_batch(expired)
-        obs.phase("expire", perf_counter() - start)
-        start = perf_counter()
-        candidates = []
+        if enabled:
+            obs.phase("expire", perf_counter() - start)
+            start = perf_counter()
+        candidates: list[Pair] = []
         for new_obj in new_objs:
             candidates.extend(self._collect_candidates(manager, new_obj))
-        obs.phase("generate", perf_counter() - start)
-        obs.on_candidates(len(candidates))
-        start = perf_counter()
+        if enabled:
+            obs.phase("generate", perf_counter() - start)
+            obs.on_candidates(len(candidates))
+            start = perf_counter()
         added, removed = self._apply_candidates(candidates)
-        obs.phase("insert", perf_counter() - start)
-        obs.on_skyband_delta(len(added), len(removed), len(expired_pairs))
+        if enabled:
+            obs.phase("insert", perf_counter() - start)
+            obs.on_skyband_delta(len(added), len(removed),
+                                 len(expired_pairs))
         return SkybandDelta(added, removed, expired_pairs)
 
     # ------------------------------------------------------------------
@@ -269,15 +246,9 @@ class SkybandMaintainer(ABC):
     # ------------------------------------------------------------------
     def _expire_batch(self, expired: list[StreamObject]) -> list[Pair]:
         """Drop the skyband pairs of every expired object, refreshing the
-        staircase once for the whole batch (fast path) instead of running
-        one full Algorithm 4 rebuild per expired object (legacy path)."""
+        staircase once for the whole batch."""
         if not expired:
             return []
-        if not self.fast_path:
-            dropped_total: list[Pair] = []
-            for gone in expired:
-                dropped_total.extend(self._expire_one_legacy(gone))
-            return dropped_total
         by_oldest = self._by_oldest
         dropped: list[Pair] = []
         for gone in expired:
@@ -301,45 +272,28 @@ class SkybandMaintainer(ABC):
         idx = min(bisect_left(score_keys, p.score_key) for p in dropped)
         skyband = self._skyband
         survivors = [p for p in skyband[idx:] if p.uid not in dropped_uids]
-        if self._obs.enabled:
+        obs = self._obs
+        if obs.enabled:
             start = perf_counter()
-            self._refresh_suffix(idx, survivors)
-            self._obs.phase("staircase", perf_counter() - start)
-        else:
-            self._refresh_suffix(idx, survivors)
+        self._refresh_suffix(idx, survivors)
+        if obs.enabled:
+            obs.phase("staircase", perf_counter() - start)
         return dropped
 
-    def _expire_one_legacy(self, gone: StreamObject) -> list[Pair]:
-        """Pre-fast-path behaviour: one full rebuild per expired object."""
-        dropped = self._by_oldest.pop(gone.seq, [])
-        if not dropped:
-            return []
-        dropped_uids = {p.uid for p in dropped}
-        survivors = [p for p in self._skyband if p.uid not in dropped_uids]
-        for pair in dropped:
-            self._pst.delete(pair)
-            if self.counters is not None:
-                self.counters.pst_deletes += 1
-                self.counters.skyband_removals += 1
-        if self._obs.enabled:
-            start = perf_counter()
-            skyband, points = reference_sweep_skyband(
-                survivors, self.K, recorder=self._obs
-            )
-            self._obs.phase("staircase", perf_counter() - start)
-        else:
-            skyband, points = reference_sweep_skyband(survivors, self.K)
-        self._set_skyband(skyband, KStaircase(points))
-        return dropped
-
-    def _refresh_suffix(self, idx: int, suffix_sorted: list[Pair]) -> None:
+    def _refresh_suffix(
+        self,
+        idx: int,
+        suffix_sorted: list[Pair],
+        counters: Optional[Counters] = None,
+    ) -> list[Pair]:
         """Replace the skyband from position ``idx`` on with a re-sweep of
         ``suffix_sorted``, keeping the untouched prefix's staircase points
-        and seeding the sweep heap from the prefix."""
+        and seeding the sweep heap from the prefix; returns the kept
+        suffix pairs.  ``idx == 0`` is a plain full sweep."""
         K = self.K
         seed = nsmallest(K, self._age_keys[:idx])
         kept, points = sweep_skyband(
-            suffix_sorted, K, seed=seed, recorder=self._obs
+            suffix_sorted, K, seed=seed, counters=counters, recorder=self._obs
         )
         self._skyband[idx:] = kept
         self._score_keys[idx:] = map(_score_key, kept)
@@ -348,91 +302,40 @@ class SkybandMaintainer(ABC):
         if prefix_count > 0:
             points = self._staircase.prefix_points(prefix_count) + points
         self._staircase = KStaircase(points)
+        return kept
 
     # ------------------------------------------------------------------
     # arrival
     # ------------------------------------------------------------------
-    def _arrive(
-        self, manager: StreamManager, new_obj: StreamObject
-    ) -> tuple[list[Pair], list[Pair]]:
-        """Algorithm 3 / 5 skeleton: collect non-dominated new pairs, merge
-        with the current skyband, re-run Algorithm 4, apply the diff."""
-        return self._apply_candidates(
-            self._collect_candidates(manager, new_obj)
-        )
-
     def _apply_candidates(
         self, candidates: list[Pair]
     ) -> tuple[list[Pair], list[Pair]]:
         """Merge candidate pairs into the skyband.
 
-        Dispatches between the incremental suffix re-sweep (small
-        candidate sets against a large skyband) and the classic full
-        Algorithm 4 sweep; both produce identical skybands, staircases
-        and diffs.
+        The skyband prefix below the smallest candidate's score position
+        ``idx`` cannot change (no candidate can dominate a lower-score
+        pair), so only ``skyband[idx:]`` merged with the candidates is
+        re-swept, against a heap seeded with the K smallest-age prefix
+        pairs.  A candidate set large relative to the skyband (where
+        seeding would be pure overhead), or one holding a new best pair,
+        takes ``idx = 0``: the classic full Algorithm 4 sweep.  Both give
+        identical skybands, staircases and diffs.
         """
         if not candidates:
             return [], []
         candidates.sort(key=_score_key)
-        skyband = self._skyband
-        if (
-            self.fast_path
-            and skyband
-            and len(candidates) * self.incremental_ratio <= len(skyband)
-        ):
+        size = len(self._skyband)
+        idx = 0
+        if size and len(candidates) * self.incremental_ratio <= size:
             idx = bisect_left(self._score_keys, candidates[0].score_key)
-            if idx:
-                return self._apply_candidates_incremental(candidates, idx)
-        return self._apply_candidates_sweep(candidates)
-
-    def _apply_candidates_sweep(
-        self, candidates: list[Pair]
-    ) -> tuple[list[Pair], list[Pair]]:
-        """Full Algorithm 4 over the merged skyband + candidate set."""
-        obs = self._obs
-        if obs.enabled:
-            obs.on_apply_path("sweep")
-        # fast_path=False replays the pre-fast-path implementation
-        # byte-for-byte, including its MaxHeap-based sweep (the honest
-        # A/B baseline for `repro bench throughput`).
-        sweep = sweep_skyband if self.fast_path else reference_sweep_skyband
-        skyband, points = sweep(
-            _merge_by_score(self._skyband, candidates), self.K,
-            counters=self.counters, recorder=obs,
-        )
-        added, removed = _diff(self._skyband, skyband, candidates)
-        self._commit_diff(added, removed)
-        self._set_skyband(skyband, KStaircase(points))
-        return added, removed
-
-    def _apply_candidates_incremental(
-        self, candidates: list[Pair], idx: int
-    ) -> tuple[list[Pair], list[Pair]]:
-        """Seeded suffix re-sweep: the skyband prefix below the smallest
-        candidate's score position ``idx`` cannot change (no candidate can
-        dominate a lower-score pair), so only ``skyband[idx:]`` merged
-        with the candidates is re-swept, against a heap seeded with the K
-        smallest-age prefix pairs.  Equivalent to the full sweep."""
-        obs = self._obs
-        if obs.enabled:
-            obs.on_apply_path("incremental")
-        K = self.K
-        skyband = self._skyband
-        suffix = skyband[idx:]
-        seed = nsmallest(K, self._age_keys[:idx])
-        kept, points = sweep_skyband(
-            _merge_by_score(suffix, candidates), K, seed=seed,
-            counters=self.counters, recorder=obs,
+        if self._obs.enabled:
+            self._obs.on_apply_path("incremental" if idx else "sweep")
+        suffix = self._skyband[idx:]
+        kept = self._refresh_suffix(
+            idx, _merge_by_score(suffix, candidates), self.counters
         )
         added, removed = _diff(suffix, kept, candidates)
         self._commit_diff(added, removed)
-        skyband[idx:] = kept
-        self._score_keys[idx:] = map(_score_key, kept)
-        self._age_keys[idx:] = map(_age_key, kept)
-        prefix_count = idx - K + 1
-        if prefix_count > 0:
-            points = self._staircase.prefix_points(prefix_count) + points
-        self._staircase = KStaircase(points)
         return added, removed
 
     def _commit_diff(self, added: list[Pair], removed: list[Pair]) -> None:
@@ -604,7 +507,6 @@ class TAMaintainer(SkybandMaintainer):
         schedule: str = "round-robin",
         pair_filter=None,
         recorder=None,
-        fast_path: bool = True,
     ) -> None:
         if not scoring_function.is_global():
             raise ScoringFunctionError(
@@ -617,8 +519,7 @@ class TAMaintainer(SkybandMaintainer):
                 f"got {schedule!r}"
             )
         super().__init__(scoring_function, K, counters=counters,
-                         pair_filter=pair_filter, recorder=recorder,
-                         fast_path=fast_path)
+                         pair_filter=pair_filter, recorder=recorder)
         self.schedule = schedule
 
     def _collect_candidates(

@@ -28,16 +28,17 @@ from itertools import islice
 from time import perf_counter
 from typing import Iterable, Iterator, Optional, Sequence
 
-from repro.analysis.cost_model import Counters
 from repro.core.continuous import ContinuousQueryState
 from repro.core.maintenance import (
     SCaseMaintainer,
+    SkybandDelta,
     SkybandMaintainer,
     TAMaintainer,
 )
 from repro.core.pair import Pair
 from repro.core.query import TopKPairsQuery, answer_snapshot
 from repro.exceptions import InvalidParameterError, UnknownQueryError
+from repro.obs.cost_model import Counters
 from repro.obs.recorder import NULL_RECORDER
 from repro.scoring.base import ScoringFunction
 from repro.stream.manager import ArrivalEvent, StreamManager
@@ -104,7 +105,6 @@ class TopKPairsMonitor:
         audit_interval: int = 1,
         audit_cross_check_interval: int = 0,
         recorder=None,
-        fast_path: bool = True,
     ) -> None:
         if strategy not in _STRATEGIES:
             raise InvalidParameterError(
@@ -121,7 +121,6 @@ class TopKPairsMonitor:
         self.window_size = window_size
         self.strategy = strategy
         self.counters = counters
-        self.fast_path = fast_path
         self._groups: dict[int, _SkybandGroup] = {}
         self._handles: dict[int, QueryHandle] = {}
         # Opt-in runtime invariant verification (repro.audit): explicit
@@ -316,20 +315,17 @@ class TopKPairsMonitor:
         if strategy == "ta":
             return TAMaintainer(scoring_function, K, counters=self.counters,
                                 pair_filter=pair_filter,
-                                recorder=self.recorder,
-                                fast_path=self.fast_path)
+                                recorder=self.recorder)
         if strategy == "basic":
             from repro.baselines.basic import BasicMaintainer
 
             return BasicMaintainer(scoring_function, K,
                                    counters=self.counters,
                                    pair_filter=pair_filter,
-                                   recorder=self.recorder,
-                                   fast_path=self.fast_path)
+                                   recorder=self.recorder)
         return SCaseMaintainer(scoring_function, K, counters=self.counters,
                                pair_filter=pair_filter,
-                               recorder=self.recorder,
-                               fast_path=self.fast_path)
+                               recorder=self.recorder)
 
     # ------------------------------------------------------------------
     # stream ingestion
@@ -344,41 +340,20 @@ class TopKPairsMonitor:
         """Admit one object and refresh every skyband and every continuous
         query."""
         obs = self.recorder
-        if not obs.enabled:
-            event = self.manager.append(
-                values, timestamp=timestamp, payload=payload
-            )
-            now = self.manager.now_seq
-            for group in self._groups.values():
-                delta = group.maintainer.on_tick(
-                    self.manager, event.new, event.expired
-                )
-                for handle in group.queries.values():
-                    if handle.state is not None:
-                        handle.state.apply(delta, group.maintainer.pst, now)
-            if self.auditor is not None:
-                self.auditor.after_tick()
-            return event
-        obs.begin_tick()
+        if obs.enabled:
+            obs.begin_tick()
         tick_start = perf_counter()
-        event = self.manager.append(
-            values, timestamp=timestamp, payload=payload
-        )
-        obs.phase("window", perf_counter() - tick_start)
-        obs.on_window(1, len(event.expired))
-        now = self.manager.now_seq
+        manager = self.manager
+        event = manager.append(values, timestamp=timestamp, payload=payload)
+        new, expired = event.new, event.expired
+        if obs.enabled:
+            obs.phase("window", perf_counter() - tick_start)
+            obs.on_window(1, len(expired))
+        now = manager.now_seq
         for group in self._groups.values():
-            delta = group.maintainer.on_tick(
-                self.manager, event.new, event.expired
-            )
-            start = perf_counter()
-            for handle in group.queries.values():
-                if handle.state is not None:
-                    handle.state.apply(delta, group.maintainer.pst, now)
-            obs.phase("queries", perf_counter() - start)
-        if self.auditor is not None:
-            self.auditor.after_tick()
-        self._end_tick(obs, perf_counter() - tick_start, now)
+            delta = group.maintainer.on_tick(manager, new, expired)
+            self._refresh_queries(group, delta, now)
+        self._close_tick(tick_start, now)
         return event
 
     def extend(
@@ -446,16 +421,31 @@ class TopKPairsMonitor:
         for group in self._groups.values():
             delta = group.maintainer.on_batch(self.manager, survivors,
                                               expired)
+            self._refresh_queries(group, delta, now)
+        # One audit per batch boundary — intermediate states are never
+        # observable, so there is nothing to check mid-batch.
+        self._close_tick(tick_start, now)
+
+    def _refresh_queries(
+        self, group: _SkybandGroup, delta: SkybandDelta, now: int
+    ) -> None:
+        """Apply one group's skyband delta to its continuous answers (the
+        ``queries`` phase)."""
+        obs = self.recorder
+        if obs.enabled:
             start = perf_counter()
-            for handle in group.queries.values():
-                if handle.state is not None:
-                    handle.state.apply(delta, group.maintainer.pst, now)
-            if obs.enabled:
-                obs.phase("queries", perf_counter() - start)
+        pst = group.maintainer.pst
+        for handle in group.queries.values():
+            if handle.state is not None:
+                handle.state.apply(delta, pst, now)
+        if obs.enabled:
+            obs.phase("queries", perf_counter() - start)
+
+    def _close_tick(self, tick_start: float, now: int) -> None:
+        """Run the auditor, then close the tick on the recorder."""
         if self.auditor is not None:
-            # One audit per batch boundary — intermediate states are
-            # never observable, so there is nothing to check mid-batch.
             self.auditor.after_tick()
+        obs = self.recorder
         if obs.enabled:
             self._end_tick(obs, perf_counter() - tick_start, now)
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from repro.analysis.cost_model import Counters
 from repro.core.pair import Pair, window_age_key_bound
 from repro.exceptions import InvalidParameterError
+from repro.obs.cost_model import Counters
 from repro.structures.pst import PrioritySearchTree
 
 __all__ = ["TopKPairsQuery", "answer_snapshot"]

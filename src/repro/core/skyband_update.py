@@ -15,22 +15,15 @@ staircase point for every kept pair:
 
 Cost: ``O(|P| log K)`` for ``|P|`` input pairs.
 
-Two implementations are provided:
-
-* :func:`sweep_skyband` — the production sweep.  Age keys are plain ints
-  (``-older.seq``), so the max-heap is a :mod:`heapq` min-heap of negated
-  age keys: every heap operation runs in C with no key-function calls,
-  which is the bulk of the sweep's cost in pure Python.  It also accepts
-  a *seed* for the incremental maintenance fast path: because the heap
-  state at any position depends only on the kept pairs before it, a sweep
-  may start mid-skyband when handed the age keys of the K smallest-age
-  prefix pairs.  The prefix's own membership and staircase points are
-  unchanged by construction, so only the suffix is re-swept.
-* :func:`reference_sweep_skyband` — the straightforward
-  :class:`~repro.structures.heap.MaxHeap`-over-pairs implementation,
-  kept as the A/B baseline that ``fast_path=False`` maintainers (and
-  ``repro bench throughput``'s legacy arm) run, and as the obviously
-  correct oracle the tests compare against.
+Age keys are plain ints (``-older.seq``), so the max-heap is a
+:mod:`heapq` min-heap of negated age keys: every heap operation runs in C
+with no key-function calls, which is the bulk of the sweep's cost in pure
+Python.  :func:`sweep_skyband` also accepts a *seed* for incremental
+maintenance: because the heap state at any position depends only on the
+kept pairs before it, a sweep may start mid-skyband when handed the age
+keys of the K smallest-age prefix pairs.  The prefix's own membership and
+staircase points are unchanged by construction, so only the suffix is
+re-swept.
 """
 
 from __future__ import annotations
@@ -38,13 +31,11 @@ from __future__ import annotations
 from heapq import heapify, heappush, heappushpop
 from typing import Sequence
 
-from repro.analysis.cost_model import Counters
 from repro.core.pair import Pair
 from repro.core.staircase import KStaircase
-from repro.structures.heap import MaxHeap
+from repro.obs.cost_model import Counters
 
 __all__ = [
-    "reference_sweep_skyband",
     "sweep_skyband",
     "update_skyband_and_staircase",
 ]
@@ -110,43 +101,6 @@ def sweep_skyband(
             if counters is not None:
                 counters.heap_ops += 1
             points.append((pair.score_key, -heap[0]))
-    if recorder is not None and recorder.enabled:
-        recorder.on_sweep(len(pairs_sorted), len(kept))
-    return kept, points
-
-
-def reference_sweep_skyband(
-    pairs_sorted: Sequence[Pair],
-    K: int,
-    *,
-    counters: Counters | None = None,
-    recorder=None,
-) -> tuple[list[Pair], list[tuple]]:
-    """The straightforward full sweep (MaxHeap over pairs) — the
-    pre-fast-path implementation, kept as A/B baseline and test oracle."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    heap: MaxHeap = MaxHeap(key=lambda pair: pair.age_key)
-    kept: list[Pair] = []
-    points: list[tuple[tuple, int]] = []
-    for pair in pairs_sorted:
-        if counters is not None:
-            counters.dominance_checks += 1
-        if len(heap) < K:
-            kept.append(pair)
-            heap.push(pair)
-            if counters is not None:
-                counters.heap_ops += 1
-            if len(heap) == K:
-                points.append((pair.score_key, heap.peek().age_key))
-        elif pair.age_key >= heap.peek().age_key:
-            continue
-        else:
-            kept.append(pair)
-            heap.pushpop(pair)
-            if counters is not None:
-                counters.heap_ops += 1
-            points.append((pair.score_key, heap.peek().age_key))
     if recorder is not None and recorder.enabled:
         recorder.on_sweep(len(pairs_sorted), len(kept))
     return kept, points

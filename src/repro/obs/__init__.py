@@ -15,10 +15,9 @@ The paper's whole argument is quantitative: the K-skyband stays near the
 * :mod:`repro.obs.trace` — structured per-tick :class:`TickEvent`
   records with phase timings (window eviction, new-pair generation,
   skyband insert/expire, staircase repair, PST rebuilds), and the
-  legacy :class:`TraceRecorder` it absorbs;
+  skyband-dynamics :class:`TraceRecorder`;
 * :mod:`repro.obs.cost_model` — the machine-independent operation
-  :class:`Counters` (moved here from ``repro.analysis.cost_model``,
-  which remains a compatibility shim);
+  :class:`Counters`;
 * :mod:`repro.obs.export` — exporters: Prometheus text exposition,
   JSON-lines tick stream, CSV, and JSON registry snapshots;
 * :mod:`repro.obs.spans` — request-level span tracing: client-minted

@@ -11,13 +11,11 @@ operations into it.
 The counters also power the benchmark harness's operation-count mode and
 the complexity-trend tests (e.g. "maintenance cost grows ~linearly in N").
 
-This module is the canonical home of the cost model inside the
-:mod:`repro.obs` observability layer; ``repro.analysis.cost_model``
-remains as a compatibility shim re-exporting the same names.  Wall-clock
-metrics (the :class:`~repro.obs.metrics.MetricsRegistry` fed by a
-:class:`~repro.obs.recorder.MetricsRecorder`) complement rather than
-replace these machine-independent tallies; when a monitor carries both,
-the overlapping counts agree (see ``tests/obs/test_compat.py``).
+The cost model is part of the :mod:`repro.obs` observability layer.
+Wall-clock metrics (the :class:`~repro.obs.metrics.MetricsRegistry` fed
+by a :class:`~repro.obs.recorder.MetricsRecorder`) complement rather
+than replace these machine-independent tallies; when a monitor carries
+both, the overlapping counts agree (see ``tests/obs/test_compat.py``).
 """
 
 from __future__ import annotations

@@ -9,8 +9,7 @@ Two layers of per-tick history live here:
   JSON-lines or CSV via :mod:`repro.obs.export`.
 * :class:`TraceRecorder` — the original skyband-dynamics recorder (one
   dict row per observed maintainer tick), kept byte-compatible with its
-  historical CSV schema.  ``repro.analysis.trace`` re-exports it as a
-  compatibility shim.
+  historical CSV schema.
 
 The phase keys, in the order the pipeline runs them:
 

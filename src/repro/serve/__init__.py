@@ -18,7 +18,6 @@ from repro.serve.checkpoint import (
     FORMAT_NAME,
     FORMAT_VERSION,
     RESTORE_MODES,
-    SUPPORTED_VERSIONS,
     checkpoint_state,
     load_checkpoint,
     restore_namespace_checkpoints,
@@ -81,7 +80,6 @@ __all__ = [
     "RESTORE_MODES",
     "ROLES",
     "SCORING_NAMES",
-    "SUPPORTED_VERSIONS",
     "ServeClient",
     "ServeRequestError",
     "ServeServer",

@@ -11,7 +11,7 @@ bulk-loaded into the sorted lists, the skyband pairs are reconnected to
 the live window objects, re-validated through one Algorithm 4 sweep and
 installed wholesale — no ``O(N^2)`` bootstrap.  *Replay* restore (feed
 the window through the engine and re-bootstrap every group) remains
-available as the correctness oracle and as the only path for v1 files.
+available as the correctness oracle.
 
 Format (version 2)::
 
@@ -40,12 +40,12 @@ keys) is derivable from the two sequence numbers and the score.  The
 the skyband reproduces it — and restore exploits that as an integrity
 check: the serialized points must match the re-swept ones exactly.
 
-Compatibility rules: readers accept versions ``1`` and ``2`` and must
-reject anything newer; unknown *extra* keys are ignored, so additive
-changes do not need a version bump.  A v1 file simply has no
-``maintainers``/``epoch`` sections and restores via replay.  Payloads
-must be JSON-serializable — a checkpoint attempt with an opaque payload
-fails loudly rather than writing a lossy file.
+Compatibility rules: readers accept version ``2`` only and reject any
+other version (the pre-maintainer-state version 1 included) with a
+:class:`~repro.exceptions.CheckpointError` naming it; unknown *extra*
+keys are ignored, so additive changes do not need a version bump.
+Payloads must be JSON-serializable — a checkpoint attempt with an
+opaque payload fails loudly rather than writing a lossy file.
 
 Writes are atomic and durable: unique temp file (``.tmp.<pid>``),
 fsync, ``os.replace``, then an fsync of the parent directory so the
@@ -71,7 +71,6 @@ __all__ = [
     "FORMAT_NAME",
     "FORMAT_VERSION",
     "RESTORE_MODES",
-    "SUPPORTED_VERSIONS",
     "checkpoint_document",
     "checkpoint_state",
     "load_checkpoint",
@@ -83,11 +82,10 @@ __all__ = [
 
 FORMAT_NAME = "repro-checkpoint"
 FORMAT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
 RESTORE_MODES = ("structural", "replay")
 
 _REQUIRED_KEYS = ("format", "version", "monitor", "next_seq", "window",
-                  "queries")
+                  "queries", "maintainers")
 _MONITOR_KEYS = ("window_size", "num_attributes", "time_horizon",
                  "strategy", "seed")
 
@@ -321,9 +319,7 @@ def _validate_queries(state: dict, origin: str) -> None:
 
 
 def _validate_maintainers(state: dict, origin: str) -> None:
-    maintainers = state.get("maintainers")
-    if maintainers is None:
-        return
+    maintainers = state["maintainers"]
     if not isinstance(maintainers, list):
         _fail(origin, "'maintainers' must be a list, got "
               f"{type(maintainers).__name__}")
@@ -385,9 +381,9 @@ def _validate_state(state, origin: str) -> dict:
     if not isinstance(state, dict) or state.get("format") != FORMAT_NAME:
         _fail(origin, f"not a {FORMAT_NAME} document")
     version = state.get("version")
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         _fail(origin, f"format version {version!r} is not supported; "
-              f"this reader accepts versions {SUPPORTED_VERSIONS}")
+              f"this reader accepts version {FORMAT_VERSION} only")
     for key in _REQUIRED_KEYS:
         if key not in state:
             _fail(origin, f"missing the {key!r} section")
@@ -423,10 +419,10 @@ def load_checkpoint(path: str) -> dict:
     """Read and validate a checkpoint document.
 
     Raises :class:`~repro.exceptions.CheckpointError` for a missing
-    file, malformed JSON, a foreign format, an unsupported (newer)
-    version, missing sections, or any section whose shape is wrong —
-    a document that loads is structurally sound all the way down to
-    individual window rows and query specs.
+    file, malformed JSON, a foreign format, a version other than
+    :data:`FORMAT_VERSION`, missing sections, or any section whose
+    shape is wrong — a document that loads is structurally sound all the
+    way down to individual window rows and query specs.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -445,7 +441,7 @@ def load_checkpoint(path: str) -> dict:
 # restore
 # ----------------------------------------------------------------------
 def _replay_window(session: ServerMonitor, state: dict) -> None:
-    """The v1 restore path: feed the saved window through the engine.
+    """The replay restore path: feed the saved window through the engine.
 
     Every arrival runs the full maintenance machinery, and re-registered
     queries re-bootstrap their skybands from window pairs — ``O(N^2)``
@@ -480,8 +476,8 @@ def _replay_window(session: ServerMonitor, state: dict) -> None:
 
 
 def _structural_restore(session: ServerMonitor, state: dict) -> None:
-    """The v2 fast path: bulk-load the window, reconnect the serialized
-    skyband pairs and install each group wholesale.
+    """The structural path: bulk-load the window, reconnect the
+    serialized skyband pairs and install each group wholesale.
 
     Every deserialized skyband is re-swept through Algorithm 4 before
     installation: the sweep must keep every pair (or the section is not
@@ -499,7 +495,7 @@ def _structural_restore(session: ServerMonitor, state: dict) -> None:
     else:
         manager.seed_sequence(int(state["next_seq"]))
     by_seq = {obj.seq: obj for obj in objects}
-    for entry in state.get("maintainers", ()):
+    for entry in state["maintainers"]:
         scoring = entry["scoring"]
         scoring_fn = session.scoring_for(scoring)
         depth = int(entry["K"])
@@ -547,12 +543,11 @@ def restore_server_monitor(
 ) -> ServerMonitor:
     """Warm-restart a session from a checkpoint path or loaded state.
 
-    ``mode="structural"`` (the default) uses the v2 ``maintainers``
-    section when present: the window is bulk-loaded and each skyband
-    group installed directly — ``O(ND log N + |SKB| log K)`` instead of
-    replay's ``O(N^2)`` per group.  v1 documents (no maintainer state)
-    fall back to replay automatically.  ``mode="replay"`` forces the
-    oracle path on any document.
+    ``mode="structural"`` (the default) uses the ``maintainers``
+    section: the window is bulk-loaded and each skyband group installed
+    directly — ``O(ND log N + |SKB| log K)`` instead of replay's
+    ``O(N^2)`` per group.  ``mode="replay"`` ignores that section and
+    re-ingests the window through the engine (the oracle path).
 
     Either way the restored session preserves original sequence numbers
     and re-registers every saved query under its old wire handle, and
@@ -578,7 +573,7 @@ def restore_server_monitor(
     )
     session.epoch = int(state.get("epoch", 0))
     session.namespace = state.get("namespace", "default")
-    structural = mode == "structural" and state.get("maintainers") is not None
+    structural = mode == "structural"
     if structural:
         _structural_restore(session, state)
     else:

@@ -4,8 +4,10 @@ Paper Algorithm 4 ("UpdateSkybandAndStaircase") maintains a *max-heap keyed
 on the ages* of the K pairs with the smallest ages seen so far; ``top()``
 then yields the K-th smallest age.  The standard library only ships a
 min-heap over raw lists, so this module provides a small, well-tested heap
-class used across the library (it also backs the naive baseline's per-object
-candidate sets and the TA frontier queues).
+class with explicit orientation and key.  The production sweep
+(:func:`~repro.core.skyband_update.sweep_skyband`) runs :mod:`heapq` on
+negated integer age keys instead; the test suite's reference sweep runs on
+:class:`MaxHeap` as its oracle.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ import random
 import pytest
 
 from repro.analysis.complexity import doubling_ratios, fit_power_law
-from repro.analysis.cost_model import Counters
 from repro.core.maintenance import SCaseMaintainer, TAMaintainer
+from repro.obs.cost_model import Counters
 from repro.scoring.library import k_closest_pairs
 from repro.stream.manager import StreamManager
 

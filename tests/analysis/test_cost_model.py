@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.cost_model import Counters, CountingScoringFunction
+from repro.obs.cost_model import Counters, CountingScoringFunction
 from repro.scoring.library import k_closest_pairs, sensor_scoring_function
 from repro.stream.object import StreamObject
 

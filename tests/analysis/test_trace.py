@@ -8,9 +8,9 @@ import random
 
 import pytest
 
-from repro.analysis.cost_model import Counters
-from repro.analysis.trace import TraceRecorder
 from repro.core.maintenance import SCaseMaintainer
+from repro.obs.cost_model import Counters
+from repro.obs.trace import TraceRecorder
 from repro.scoring.library import k_closest_pairs
 from repro.stream.manager import StreamManager
 

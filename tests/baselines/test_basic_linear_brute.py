@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import random
 
-from repro.analysis.cost_model import Counters
 from repro.baselines.basic import BasicMaintainer
 from repro.baselines.brute import BruteForceReference
 from repro.baselines.linear import linear_top_k
 from repro.core.maintenance import SCaseMaintainer
 from repro.core.pair import dominates
+from repro.obs.cost_model import Counters
 from repro.scoring.library import k_closest_pairs
 from repro.stream.manager import StreamManager
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import random
 
-from repro.analysis.cost_model import Counters
 from repro.baselines.brute import BruteForceReference
 from repro.baselines.supreme import SupremeAlgorithm
+from repro.obs.cost_model import Counters
 from repro.scoring.library import k_closest_pairs
 
 

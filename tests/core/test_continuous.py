@@ -6,11 +6,11 @@ import random
 
 import pytest
 
-from repro.analysis.cost_model import Counters
 from repro.baselines.brute import BruteForceReference
 from repro.core.continuous import ContinuousQueryState
 from repro.core.maintenance import SCaseMaintainer
 from repro.core.query import TopKPairsQuery
+from repro.obs.cost_model import Counters
 from repro.scoring.library import k_closest_pairs, k_furthest_pairs
 from repro.stream.manager import StreamManager
 

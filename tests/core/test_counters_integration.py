@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import random
 
-from repro.analysis.cost_model import Counters
 from repro.baselines.basic import BasicMaintainer
 from repro.core.maintenance import SCaseMaintainer, TAMaintainer
 from repro.core.monitor import TopKPairsMonitor
+from repro.obs.cost_model import Counters
 from repro.scoring.library import k_closest_pairs
 from repro.stream.manager import StreamManager
 

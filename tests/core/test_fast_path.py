@@ -1,6 +1,6 @@
-"""The incremental maintenance fast path must be bit-identical to the
-legacy rebuild-per-expiry / full-sweep path: same skyband, same staircase
-points, same answers, at every tick."""
+"""The incremental maintenance path must be bit-identical to a
+from-scratch Algorithm 4 sweep over every window pair: same skyband, same
+staircase points, same answers, at every tick."""
 
 from __future__ import annotations
 
@@ -8,16 +8,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.maintenance import SCaseMaintainer
 from repro.core.monitor import TopKPairsMonitor
-from repro.core.skyband_update import (
-    reference_sweep_skyband,
-    sweep_skyband,
-)
+from repro.core.pair import make_pair
+from repro.core.skyband_update import sweep_skyband
 from repro.obs import MetricsRecorder
 from repro.scoring.library import k_closest_pairs, k_furthest_pairs
+from repro.structures.heap import MaxHeap
 
 from tests.conftest import make_pair_at, random_rows
+
+
+def reference_sweep_skyband(pairs_sorted, K):
+    """The straightforward Algorithm 4 sweep (a MaxHeap over pairs): the
+    obviously correct oracle for the heapq production sweep."""
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    heap = MaxHeap(key=lambda pair: pair.age_key)
+    kept, points = [], []
+    for pair in pairs_sorted:
+        if len(heap) < K:
+            kept.append(pair)
+            heap.push(pair)
+            if len(heap) == K:
+                points.append((pair.score_key, heap.peek().age_key))
+        elif pair.age_key < heap.peek().age_key:
+            kept.append(pair)
+            heap.pushpop(pair)
+            points.append((pair.score_key, heap.peek().age_key))
+    return kept, points
 
 
 def sorted_pairs(age_scores):
@@ -76,31 +94,39 @@ class TestSweepImplementations:
             reference_sweep_skyband([], 0)
 
 
+def window_pairs_sorted(monitor, scoring_function):
+    """Every pair of the monitor's current window, by score key."""
+    objects = monitor.manager.objects()
+    pairs = [
+        make_pair(a, b, scoring_function)
+        for i, a in enumerate(objects)
+        for b in objects[i + 1:]
+    ]
+    pairs.sort(key=lambda p: p.score_key)
+    return pairs
+
+
 def drive_pairwise(strategy, rows, *, k, window, time_horizon=None,
                    timestamps=None):
-    """Stream ``rows`` through a fast and a legacy monitor in lockstep,
-    asserting identical skybands, staircases and answers every tick."""
-    fast = TopKPairsMonitor(window, 2, strategy=strategy,
-                            time_horizon=time_horizon, fast_path=True)
-    legacy = TopKPairsMonitor(window, 2, strategy=strategy,
-                              time_horizon=time_horizon, fast_path=False)
-    sf_fast, sf_legacy = k_closest_pairs(2), k_closest_pairs(2)
-    h_fast = fast.register_query(sf_fast, k=k)
-    h_legacy = legacy.register_query(sf_legacy, k=k)
+    """Stream ``rows`` through one monitor and, after every tick,
+    re-sweep all window pairs with the reference sweep: the skyband, the
+    staircase and the answer (the first k skyband pairs) must match."""
+    monitor = TopKPairsMonitor(window, 2, strategy=strategy,
+                               time_horizon=time_horizon)
+    scoring = k_closest_pairs(2)
+    handle = monitor.register_query(scoring, k=k)
     for index, row in enumerate(rows):
         ts = timestamps[index] if timestamps is not None else None
-        fast.append(row, timestamp=ts)
-        legacy.append(row, timestamp=ts)
-        group_f = fast._groups[next(iter(fast._groups))]
-        group_l = legacy._groups[next(iter(legacy._groups))]
-        assert [p.uid for p in group_f.maintainer.skyband] == \
-            [p.uid for p in group_l.maintainer.skyband]
-        assert group_f.maintainer.staircase.points() == \
-            group_l.maintainer.staircase.points()
-        assert [p.uid for p in fast.results(h_fast)] == \
-            [p.uid for p in legacy.results(h_legacy)]
-    fast.check_invariants()
-    legacy.check_invariants()
+        monitor.append(row, timestamp=ts)
+        maintainer = monitor.maintainer_for(scoring)
+        kept, points = reference_sweep_skyband(
+            window_pairs_sorted(monitor, scoring), k
+        )
+        assert [p.uid for p in maintainer.skyband] == [p.uid for p in kept]
+        assert maintainer.staircase.points() == points
+        assert [p.uid for p in monitor.results(handle)] == \
+            [p.uid for p in kept[:k]]
+    monitor.check_invariants()
 
 
 @pytest.mark.parametrize("strategy", ["scase", "ta"])
@@ -164,15 +190,29 @@ class TestIncrementalDispatch:
         assert incremental > 0
         assert incremental + sweep > 0
 
-    def test_legacy_flag_disables_incremental(self):
-        maintainer = SCaseMaintainer(k_closest_pairs(2), 3, fast_path=False)
-        assert maintainer.fast_path is False
-        recorder = MetricsRecorder()
-        monitor = TopKPairsMonitor(20, 2, strategy="scase",
-                                   recorder=recorder, fast_path=False)
-        monitor.register_query(k_closest_pairs(2), k=3)
-        for row in random_rows(40, 2, seed=6):
-            monitor.append(row)
-        registry = recorder.registry
-        assert registry.value("repro_apply_path_total", "incremental") == 0
-        assert registry.value("repro_apply_path_total", "sweep") > 0
+
+@pytest.mark.parametrize("strategy", ["scase", "ta"])
+def test_burst_expiry_costs_one_staircase_refresh(strategy):
+    """Coalesced expiry: however many objects a tick evicts, it runs at
+    most two sweeps (one staircase refresh plus one candidate merge),
+    where refreshing per expired object would run one per object."""
+    recorder = MetricsRecorder()
+    monitor = TopKPairsMonitor(200, 2, strategy=strategy,
+                               time_horizon=30.0, recorder=recorder)
+    scoring = k_closest_pairs(2)
+    monitor.register_query(scoring, k=8)
+    maintainer = monitor.maintainer_for(scoring)
+    registry = recorder.registry
+    now, bursts = 0.0, 0
+    for index, row in enumerate(random_rows(200, 2, seed=8)):
+        now += 12.0 if index and index % 25 == 0 else 1.0
+        owners = {p.oldest_seq for p in maintainer.skyband}
+        sweeps = registry.value("repro_sweeps_total")
+        event = monitor.append(row, timestamp=now)
+        if len(event.expired) < 3:
+            continue
+        assert registry.value("repro_sweeps_total") - sweeps <= 2, index
+        if len(owners & {gone.seq for gone in event.expired}) >= 3:
+            bursts += 1
+    # Ticks that dropped the skyband pairs of three or more objects.
+    assert bursts >= 3

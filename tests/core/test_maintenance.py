@@ -6,11 +6,11 @@ import random
 
 import pytest
 
-from repro.analysis.cost_model import Counters
 from repro.baselines.basic import BasicMaintainer
 from repro.baselines.brute import BruteForceReference
 from repro.core.maintenance import SCaseMaintainer, TAMaintainer
 from repro.exceptions import InvalidParameterError, ScoringFunctionError
+from repro.obs.cost_model import Counters
 from repro.scoring.library import (
     k_closest_pairs,
     paper_scoring_functions,

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.pair import Pair, dominates, make_pair, window_age_key_bound
+from repro.obs.cost_model import Counters
 from repro.scoring.library import k_closest_pairs
-from repro.analysis.cost_model import Counters
 from repro.stream.object import StreamObject
 
 from tests.conftest import make_pair_at

@@ -6,12 +6,12 @@ import random
 
 import pytest
 
-from repro.analysis.cost_model import Counters
 from repro.baselines.brute import BruteForceReference
 from repro.baselines.linear import linear_top_k
 from repro.core.maintenance import SCaseMaintainer
 from repro.core.query import TopKPairsQuery, answer_snapshot
 from repro.exceptions import InvalidParameterError
+from repro.obs.cost_model import Counters
 from repro.scoring.library import k_closest_pairs, paper_scoring_functions
 from repro.stream.manager import StreamManager
 

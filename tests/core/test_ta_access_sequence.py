@@ -5,7 +5,7 @@ The complexity tests only fit exponents, so a change to how
 (access order, tie handling, the threshold test, when a candidate is
 built) could keep every answer right and still do different work.  This
 test drives TA over seeded streams and compares every
-:class:`~repro.analysis.cost_model.Counters` field, plus a digest of the
+:class:`~repro.obs.cost_model.Counters` field, plus a digest of the
 skyband and staircase after every step, with figures recorded from the
 implementation before its hot loop was optimised.
 
@@ -21,8 +21,8 @@ import random
 
 import pytest
 
-from repro.analysis.cost_model import Counters
 from repro.core.maintenance import TAMaintainer
+from repro.obs.cost_model import Counters
 from repro.scoring.library import paper_scoring_functions
 from repro.stream.manager import StreamManager
 

@@ -7,10 +7,10 @@ import random
 
 import pytest
 
-from repro.analysis.cost_model import Counters
 from repro.baselines.brute import BruteForceReference
 from repro.core.maintenance import TAMaintainer
 from repro.exceptions import InvalidParameterError
+from repro.obs.cost_model import Counters
 from repro.scoring.library import k_closest_pairs, paper_scoring_functions
 from repro.stream.manager import StreamManager
 

@@ -1,9 +1,7 @@
-"""Compatibility of the absorbed analysis layer (satellite 4).
-
-The operation counters and the per-tick trace recorder moved from
-``repro.analysis`` into ``repro.obs``; the old import paths must keep
-working, and on a real run the machine-independent counters must agree
-with the wall-clock registry wherever they count the same thing.
+"""The absorbed analysis layer: the operation counters and the per-tick
+trace recorder live in ``repro.obs``, and on a real run the
+machine-independent counters must agree with the wall-clock registry
+wherever they count the same thing.
 """
 
 from __future__ import annotations
@@ -20,21 +18,8 @@ from repro.stream.manager import StreamManager
 
 
 class TestShimImportPaths:
-    def test_cost_model_shim_reexports_same_objects(self):
-        from repro.analysis.cost_model import (
-            Counters as ShimCounters,
-            CountingScoringFunction as ShimCSF,
-        )
-        from repro.obs.cost_model import Counters, CountingScoringFunction
-
-        assert ShimCounters is Counters
-        assert ShimCSF is CountingScoringFunction
-
-    def test_trace_shim_reexports_same_object(self):
-        from repro.analysis.trace import TraceRecorder as ShimTraceRecorder
-        from repro.obs.trace import TraceRecorder
-
-        assert ShimTraceRecorder is TraceRecorder
+    """The package-level names that replaced the removed
+    ``repro.analysis`` shim import paths."""
 
     def test_package_level_exports(self):
         import repro

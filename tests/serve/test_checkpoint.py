@@ -407,9 +407,9 @@ class TestStructuralRestore:
         with pytest.raises(CheckpointError):
             restore_server_monitor(path, mode="sideways")
 
-    def test_v1_document_restores_via_replay(self, tmp_path):
-        """The compat rule: v2 readers restore v1 files (no maintainer
-        state, no epoch) by replaying the window."""
+    def test_v1_document_rejected(self, tmp_path):
+        """One format: a v1 file (no maintainer state, no epoch) fails
+        with an error naming its version, in either restore mode."""
         session = populated_session()
         state = checkpoint_state(session)
         del state["maintainers"]
@@ -417,9 +417,19 @@ class TestStructuralRestore:
         state["version"] = 1
         path = tmp_path / "ck.json"
         path.write_text(json.dumps(state))
-        restored = restore_server_monitor(str(path))  # mode=structural
-        assert restored.epoch == 0
-        assert self._answers(restored) == self._answers(session)
+        for mode in ("structural", "replay"):
+            with pytest.raises(CheckpointError) as err:
+                restore_server_monitor(str(path), mode=mode)
+            assert "version 1 " in str(err.value)
+
+    def test_v2_document_without_maintainers_rejected(self, tmp_path):
+        state = checkpoint_state(populated_session())
+        del state["maintainers"]
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps(state))
+        with pytest.raises(CheckpointError) as err:
+            restore_server_monitor(str(path), mode="replay")
+        assert "'maintainers'" in str(err.value)
 
     def test_dropped_skyband_pair_detected(self, tmp_path):
         """Deleting one skyband pair keeps the section well-formed but
