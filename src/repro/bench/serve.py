@@ -152,15 +152,18 @@ def _bench_standby(primary_port: int, rows, batch: int) -> dict:
     apply lag (ingest ack on the primary -> standby reports the seq),
     then promote it."""
     from repro.serve.standby import connect_standby
+    from repro.serve.tenancy import DEFAULT_NAMESPACE
 
     start = perf_counter()
-    session, tailer = connect_standby("127.0.0.1", primary_port)
+    registry, tailer = connect_standby("127.0.0.1", primary_port)
     bootstrap_seconds = perf_counter() - start
-    bootstrap_objects = len(session.monitor.manager)
+    bootstrap_objects = len(
+        registry.get(DEFAULT_NAMESPACE).session.monitor.manager
+    )
     lags: list[float] = []
     caught_up = True
     replicated = 0
-    with BackgroundServer(session, role="standby",
+    with BackgroundServer(registry, role="standby",
                           standby=tailer) as standby:
         with ServeClient(port=primary_port) as producer, \
                 ServeClient(port=standby.port) as probe:
@@ -320,7 +323,7 @@ def _multi_tenant_once(
             register_barrier.abort()
             delta_barrier.abort()
 
-    with BackgroundServer(None, tenants=registry) as background:
+    with BackgroundServer(registry) as background:
         threads = [
             threading.Thread(target=worker, args=(background.port, name))
             for name in names

@@ -852,7 +852,7 @@ def run_serve(argv: Sequence[str],
     """``python -m repro serve`` — run the server on the main thread."""
     import asyncio
 
-    from repro.exceptions import TenantConfigError
+    from repro.exceptions import ServeError, TenantConfigError
     from repro.obs.flight import FlightRecorder
     from repro.obs.spans import NULL_SPANS, SpanRecorder
     from repro.serve.checkpoint import (
@@ -863,7 +863,7 @@ def run_serve(argv: Sequence[str],
     from repro.serve.server import ServeServer
     from repro.serve.session import ServerMonitor
     from repro.serve.standby import connect_standby
-    from repro.serve.tenancy import NamespaceRegistry
+    from repro.serve.tenancy import DEFAULT_NAMESPACE, NamespaceRegistry
 
     stdout = stdout if stdout is not None else sys.stdout
     args = build_serve_parser().parse_args(argv)
@@ -891,7 +891,9 @@ def run_serve(argv: Sequence[str],
     # carry the request story, not just tick summaries.
     if spans is not NULL_SPANS:
         spans.sink = flight.record_span
-    registry: Optional[NamespaceRegistry] = None
+    # One registry in every mode: the tenants file's, or an open one
+    # holding the single ``default`` namespace.
+    registry = NamespaceRegistry(open_default=True)
     if args.tenants is not None:
         def factory(name, spec):
             # Each tenant gets its own engine; a max_window_objects
@@ -908,77 +910,77 @@ def run_serve(argv: Sequence[str],
         except TenantConfigError as exc:
             raise SystemExit(f"repro serve: {exc}") from exc
     tailer = None
-    session = None
-    if args.standby is not None:
-        host, _, port_text = args.standby.rpartition(":")
-        if not host or not port_text.isdigit():
-            raise SystemExit(
-                f"--standby needs HOST:PORT, got {args.standby!r}"
+    try:
+        if args.standby is not None:
+            host, _, port_text = args.standby.rpartition(":")
+            if not host or not port_text.isdigit():
+                raise SystemExit(
+                    f"--standby needs HOST:PORT, got {args.standby!r}"
+                )
+            registry, tailer = connect_standby(
+                host, int(port_text), mode=args.restore_mode,
+                audit=args.audit, delta_log=args.standby_delta_log,
+                registry=registry,
             )
-        restored, tailer = connect_standby(
-            host, int(port_text), mode=args.restore_mode,
-            audit=args.audit, delta_log=args.standby_delta_log,
-            registry=registry,
-        )
-        if registry is None:
-            session = restored
-            session.spans = spans
-        else:
-            for namespace in registry.namespaces():
-                namespace.session.spans = spans
-    elif args.restore is not None:
-        if registry is not None:
+        elif args.restore is not None and not registry.open:
             restored_sessions = restore_namespace_checkpoints(
                 args.restore, mode=args.restore_mode, audit=args.audit,
             )
             for name, restored in restored_sessions.items():
-                restored.spans = spans
                 registry.install(name, restored)
-        else:
-            session = restore_server_monitor(args.restore,
-                                             mode=args.restore_mode,
-                                             audit=args.audit)
-            session.spans = spans
-    elif registry is None:
-        session = ServerMonitor(
-            args.window, args.columns, time_horizon=args.horizon,
-            strategy=args.strategy, audit=args.audit, spans=spans,
-        )
-    if session is not None \
+        elif args.restore is not None:
+            registry.install(DEFAULT_NAMESPACE, restore_server_monitor(
+                args.restore, mode=args.restore_mode, audit=args.audit,
+            ))
+        elif registry.open:
+            registry.install(DEFAULT_NAMESPACE, ServerMonitor(
+                args.window, args.columns, time_horizon=args.horizon,
+                strategy=args.strategy, audit=args.audit,
+            ))
+    except (ServeError, OSError) as exc:
+        source = f"primary {args.standby}: " if args.standby else ""
+        raise SystemExit(f"repro serve: {source}{exc}") from exc
+    for namespace in registry.namespaces():
+        namespace.session.spans = spans
+    default = registry.get(DEFAULT_NAMESPACE) if registry.open else None
+    if default is not None \
             and (args.restore is not None or args.standby is not None):
-        if session.config["num_attributes"] != args.columns:
+        attributes = default.session.config["num_attributes"]
+        if attributes != args.columns:
             raise SystemExit(
                 f"--columns {args.columns} does not match the checkpoint's "
-                f"{session.config['num_attributes']} attributes"
+                f"{attributes} attributes"
             )
     server = ServeServer(
-        session, host=args.host, port=args.port,
+        registry, host=args.host, port=args.port,
         backpressure=args.backpressure, queue_depth=args.queue_depth,
         checkpoint_dir=args.checkpoint_dir,
         spans=spans,
         flight=flight, obs_port=args.obs_port, obs_host=args.obs_host,
         role="standby" if tailer is not None else "primary",
         standby=tailer,
-        tenants=registry,
         mux_pending=args.mux_pending,
     )
 
     async def serve() -> None:
-        await server.start()
+        try:
+            await server.start()
+        except (ServeError, OSError) as exc:
+            raise SystemExit(f"repro serve: {exc}") from exc
         server.install_signal_handlers()
         # Announce the resolved port (flushed: subprocess harnesses wait
         # for this line before connecting).
         print(f"repro serve: listening on {server.host}:{server.port}",
               file=stdout, flush=True)
-        if registry is not None:
+        if not registry.open:
             print(f"repro serve: {len(registry.specs)} tenant(s) from "
                   f"{args.tenants} (SIGHUP reloads)",
                   file=stdout, flush=True)
         if tailer is not None:
-            if session is not None:
+            if default is not None:
                 print(f"repro serve: standby of {tailer.primary} at seq "
-                      f"{session.monitor.manager.now_seq} "
-                      f"(epoch {session.epoch})",
+                      f"{default.session.monitor.manager.now_seq} "
+                      f"(epoch {default.session.epoch})",
                       file=stdout, flush=True)
             else:
                 print(f"repro serve: standby of {tailer.primary} tailing "
@@ -995,22 +997,19 @@ def run_serve(argv: Sequence[str],
     except KeyboardInterrupt:
         pass  # loops without signal-handler support: exit the drain path
     if args.checkpoint_on_exit is not None:
-        if registry is not None:
+        if default is not None:
+            targets = [(default.session, args.checkpoint_on_exit)]
+        else:
             # Multi-tenant: the value is a directory of <ns>.ckpt files
             # (the layout restore_namespace_checkpoints reads back).
             os.makedirs(args.checkpoint_on_exit, exist_ok=True)
-            for namespace in registry.namespaces():
-                target = os.path.join(args.checkpoint_on_exit,
-                                      f"{namespace.name}.ckpt")
-                meta = save_checkpoint(namespace.session, target)
-                print(
-                    f"repro serve: checkpoint {meta['path']} "
-                    f"({meta['objects']} objects, "
-                    f"{meta['queries']} queries)",
-                    file=stdout, flush=True,
-                )
-        else:
-            meta = save_checkpoint(session, args.checkpoint_on_exit)
+            targets = [
+                (namespace.session, os.path.join(
+                    args.checkpoint_on_exit, f"{namespace.name}.ckpt"))
+                for namespace in registry.namespaces()
+            ]
+        for session, target in targets:
+            meta = save_checkpoint(session, target)
             print(
                 f"repro serve: checkpoint {meta['path']} "
                 f"({meta['objects']} objects, {meta['queries']} queries)",

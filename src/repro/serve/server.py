@@ -61,12 +61,7 @@ import threading
 from time import perf_counter
 from typing import Optional
 
-from repro.exceptions import (
-    ProtocolError,
-    ReproError,
-    ServeError,
-    TenantConfigError,
-)
+from repro.exceptions import ProtocolError, ReproError, TenantConfigError
 from repro.obs.flight import FlightRecorder, RingLog
 from repro.obs.httpd import ObsHTTPServer
 from repro.obs.metrics import MetricsRegistry
@@ -127,7 +122,8 @@ class _Connection:
         #: the default namespace on single-tenant servers; ``None``
         #: until a successful ``auth`` op on multi-tenant ones)
         self.namespace: Optional[Namespace] = None
-        #: authenticated with the file-level admin token
+        #: authenticated with the file-level admin token (pre-set on
+        #: single-tenant servers, where every connection is admin)
         self.admin = False
         #: the per-peer metric label this connection resolved to
         #: (``None`` until first use; ``"overflow"`` past the cap)
@@ -135,11 +131,16 @@ class _Connection:
 
 
 class ServeServer:
-    """Asyncio TCP server publishing top-k pair answers and deltas."""
+    """Asyncio TCP server publishing top-k pair answers and deltas.
+
+    ``tenants`` is the :class:`NamespaceRegistry` holding every session
+    the server serves; a bare :class:`ServerMonitor` is wrapped as an
+    open single-tenant registry (:meth:`NamespaceRegistry.single`).
+    """
 
     def __init__(
         self,
-        session: Optional[ServerMonitor] = None,
+        tenants: NamespaceRegistry | ServerMonitor,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -155,7 +156,6 @@ class ServeServer:
         ticks_capacity: int = 256,
         role: str = "primary",
         standby=None,
-        tenants: Optional[NamespaceRegistry] = None,
         max_peer_labels: int = 64,
         mux_pending: int = 4,
     ) -> None:
@@ -182,40 +182,22 @@ class ServeServer:
                 "bad_request",
                 f"max_peer_labels must be >= 1, got {max_peer_labels}",
             )
-        if tenants is None:
-            if session is None:
-                raise ServeError(
-                    "a server needs either a session or a tenants "
-                    "registry"
-                )
-            # Single-tenant mode is multi-tenancy with one open
-            # namespace: same code path, no auth, no quotas, no
-            # multiplexer hop.
-            tenants = NamespaceRegistry.single(session)
-            self.multi_tenant = False
-        else:
-            if session is not None:
-                raise ServeError(
-                    "pass either a session (single-tenant) or a "
-                    "tenants registry (multi-tenant), not both"
-                )
-            self.multi_tenant = True
-        #: the namespace registry (always present; single-tenant servers
-        #: wrap their one session as the open ``default`` namespace)
-        self.tenants = tenants
-        #: the single-tenant session (``None`` on multi-tenant servers;
-        #: multi-tenant code must go through :attr:`tenants`)
-        self.session = session
+        if isinstance(tenants, ServerMonitor):
+            tenants = NamespaceRegistry.single(tenants)
+        #: the namespace registry.  An open one is single-tenant mode:
+        #: one ``default`` namespace, no auth, no quotas, no multiplexer
+        #: hop — the same code path otherwise.
+        self.tenants: NamespaceRegistry = tenants
         #: fair round-robin tick scheduler (multi-tenant only)
         self.mux: Optional[FairMultiplexer] = (
-            FairMultiplexer(max_pending=mux_pending, spawn=self._spawn)
-            if self.multi_tenant else None
+            None if tenants.open
+            else FairMultiplexer(max_pending=mux_pending, spawn=self._spawn)
         )
         self.max_peer_labels = max_peer_labels
         self.role = role
         #: the :class:`~repro.serve.standby.StandbyTailer` feeding this
-        #: server's session (standbys only); started with the server and
-        #: stopped by ``promote`` or shutdown.
+        #: server's registry (standbys only); started with the server
+        #: and stopped by ``promote`` or shutdown.
         self.standby = standby
         self.host = host
         self.port = port
@@ -223,11 +205,16 @@ class ServeServer:
         self.queue_depth = queue_depth
         self.max_frame_bytes = max_frame_bytes
         self.checkpoint_dir = checkpoint_dir
-        # The session's span recorder is adopted when no explicit one is
-        # given, so op spans and engine tick spans share a single ring
-        # (never test recorder truthiness — an *empty* ring is falsy).
-        if spans is None:
-            spans = getattr(session, "spans", None)
+        if tenants.open:
+            # A registry that can neither hold nor build the open
+            # namespace fails here, not on every connection.  Its
+            # session's span recorder is adopted when no explicit one is
+            # given, so op spans and engine tick spans share a single
+            # ring (never test recorder truthiness — an *empty* ring is
+            # falsy).
+            default = tenants.namespace(DEFAULT_NAMESPACE)
+            if spans is None:
+                spans = default.session.spans
         self.spans = spans if spans is not None else NULL_SPANS
         self.flight = flight
         self.obs_port = obs_port
@@ -242,7 +229,8 @@ class ServeServer:
         #: handles are only unique within one namespace's registry
         self._subscribers: dict[tuple[str, str], set[_Connection]] = {}
         #: connections registered via ``replicate`` (warm standbys);
-        #: every ingested batch is mirrored to them as a ``rows`` event
+        #: every ingested batch and query registry change is mirrored to
+        #: them as a feed event
         self._replicas: set[_Connection] = set()
         self._stopping = False
         self._stopped = asyncio.Event()
@@ -405,8 +393,34 @@ class ServeServer:
         exc.details = {"quota": quota, **details}
         return exc
 
-    def _default_namespace(self) -> Optional[Namespace]:
-        return self.tenants.get(DEFAULT_NAMESPACE)
+    @staticmethod
+    def _seq_state(ns: Namespace) -> dict:
+        return {"epoch": ns.session.epoch,
+                "now_seq": ns.session.monitor.manager.now_seq}
+
+    def _namespace_states(self, *, detail: bool = False,
+                          limit: Optional[int] = None) -> dict:
+        """The fencing epoch and sequence number of every namespace:
+        flat ``epoch``/``now_seq`` fields on a single-tenant server, a
+        ``namespaces`` map otherwise.  ``detail`` adds each namespace's
+        window size and query count; past ``limit`` entries the rest
+        are only counted, as ``namespaces_truncated``."""
+        if self.tenants.open:
+            return self._seq_state(self.tenants.get(DEFAULT_NAMESPACE))
+        namespaces: dict[str, dict] = {}
+        truncated = 0
+        for ns in self.tenants.namespaces():
+            if limit is not None and len(namespaces) >= limit:
+                truncated += 1
+                continue
+            entry = namespaces[ns.name] = self._seq_state(ns)
+            if detail:
+                entry["window_size"] = len(ns.session.monitor.manager)
+                entry["queries"] = len(ns.session.queries())
+        state: dict = {"namespaces": namespaces}
+        if truncated:
+            state["namespaces_truncated"] = truncated
+        return state
 
     def _refresh_ns_gauges(self, ns: Namespace) -> None:
         self._m_ns_queries.labels(ns.name).set(len(ns.session.queries()))
@@ -575,8 +589,7 @@ class ServeServer:
         self._connections.discard(conn)
         self._replicas.discard(conn)
         for query in conn.subscriptions:
-            key = (conn.namespace.name, query) \
-                if conn.namespace is not None else (DEFAULT_NAMESPACE, query)
+            key = (conn.namespace.name, query)
             subscribers = self._subscribers.get(key)
             if subscribers is not None:
                 subscribers.discard(conn)
@@ -616,11 +629,11 @@ class ServeServer:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
         conn = _Connection(reader, writer, self.queue_depth)
-        if not self.multi_tenant:
+        if self.tenants.open:
             # Single-tenant: every connection implicitly operates in
             # the open default namespace with admin rights (the
             # pre-tenancy contract, unchanged on the wire).
-            conn.namespace = self._default_namespace()
+            conn.namespace = self.tenants.get(DEFAULT_NAMESPACE)
             conn.admin = True
         self._connections.add(conn)
         self._m_connections.inc()
@@ -632,7 +645,7 @@ class ServeServer:
             "backpressure": self.backpressure,
             "queue_depth": self.queue_depth,
             "role": self.role,
-            "multi_tenant": self.multi_tenant,
+            "multi_tenant": not self.tenants.open,
         }
         if conn.namespace is not None:
             hello["epoch"] = conn.namespace.session.epoch
@@ -763,28 +776,13 @@ class ServeServer:
         (at most 32 namespaces listed, totals always exact).
         """
         last = self._last_tick_at
-        window_total = 0
-        queries_total = 0
-        namespaces: dict[str, dict] = {}
-        truncated = 0
-        for ns in self.tenants.namespaces():
-            window = len(ns.session.monitor.manager)
-            queries = len(ns.session.queries())
-            window_total += window
-            queries_total += queries
-            if len(namespaces) < 32:
-                namespaces[ns.name] = {
-                    "epoch": ns.session.epoch,
-                    "now_seq": ns.session.monitor.manager.now_seq,
-                    "window_size": window,
-                    "queries": queries,
-                }
-            else:
-                truncated += 1
+        namespaces = list(self.tenants.namespaces())
         payload = {
             "protocol": PROTOCOL_VERSION,
             "role": self.role,
-            "window_size": window_total,
+            "window_size": sum(
+                len(ns.session.monitor.manager) for ns in namespaces
+            ),
             "last_tick_age_seconds": (
                 perf_counter() - last if last is not None else None
             ),
@@ -792,17 +790,11 @@ class ServeServer:
             "subscribers": sum(
                 len(s) for s in self._subscribers.values()
             ),
-            "queries": queries_total,
+            "queries": sum(len(ns.session.queries()) for ns in namespaces),
         }
-        default = self._default_namespace()
-        if not self.multi_tenant and default is not None:
-            payload["epoch"] = default.session.epoch
-            payload["now_seq"] = default.session.monitor.manager.now_seq
-        else:
+        if not self.tenants.open:
             payload["multi_tenant"] = True
-            payload["namespaces"] = namespaces
-            if truncated:
-                payload["namespaces_truncated"] = truncated
+        payload.update(self._namespace_states(detail=True, limit=32))
         return payload
 
     # ------------------------------------------------------------------
@@ -901,13 +893,18 @@ class ServeServer:
     # ------------------------------------------------------------------
     # ops
     # ------------------------------------------------------------------
-    async def _op_ingest(self, conn, frame, request_id) -> None:
+    def _require_primary(self, op: str) -> None:
+        """Writes (ingest, register, unregister) belong to the primary;
+        a standby takes them from the replication feed only."""
         if self.role != "primary":
             raise ProtocolError(
                 "not_primary",
-                "this server is a standby; ingest on the primary or "
+                f"this server is a standby; {op} on the primary or "
                 "promote this server first",
             )
+
+    async def _op_ingest(self, conn, frame, request_id) -> None:
+        self._require_primary("ingest")
         ns = self._require_namespace(conn)
         rows = frame.get("rows")
         if not isinstance(rows, list):
@@ -977,12 +974,19 @@ class ServeServer:
         )
         self._m_ingested.inc(count)
         self._m_ns_ingested.labels(ns.name).inc(count)
-        await self._replicate_rows(ns, rows, timestamps, count, now_seq)
+        if count > 0 and self._replicas:
+            await self._replicate(ns, {
+                "event": "rows",
+                "first_seq": now_seq - count + 1,
+                "rows": [list(row) for row in rows],
+                "timestamps": (list(timestamps)
+                               if timestamps is not None else None),
+            }, count)
         deltas = await self._fan_out_deltas(ns)
         elapsed = perf_counter() - started
         tick_record = {"tick": now_seq, "rows": count,
                        "deltas": deltas, "seconds": elapsed}
-        if self.multi_tenant:
+        if not self.tenants.open:
             tick_record["ns"] = ns.name
         if trace is not None:
             tick_record["trace"] = trace
@@ -995,33 +999,27 @@ class ServeServer:
                 self._maybe_dump("slow_tick")
         return count, now_seq, deltas
 
-    async def _replicate_rows(self, ns: Namespace, rows, timestamps,
-                              count, now_seq) -> None:
-        """Mirror one admitted batch to every replication subscriber.
+    async def _replicate(self, ns: Namespace, event: dict,
+                         rows: int = 0) -> None:
+        """Mirror one change in ``ns`` to every replication subscriber:
+        an admitted batch (``rows``) or a query registry change
+        (``register``/``unregister``).  The event is stamped with the
+        namespace, its epoch and its ``now_seq``.  Callers test
+        ``self._replicas`` first, so a primary without standbys builds
+        no payload.
 
         Replication always *blocks* for queue space regardless of the
-        delta backpressure policy: a standby that missed a batch would
-        hit a sequence gap and die, so losslessness beats latency here.
-        The ingest ack therefore waits until every replica queue took
-        the event — same contract as the ``block`` delta policy.
-        The ``namespace`` field routes the batch on multi-tenant
-        standbys; pre-tenancy tailers ignore it.
+        delta backpressure policy: a standby that missed an event would
+        hit a sequence gap or a handle mismatch and die, so losslessness
+        beats latency here.  The op's ack therefore waits until every
+        replica queue took the event — same contract as the ``block``
+        delta policy.
         """
-        if count <= 0 or not self._replicas:
-            return
-        payload = encode_frame({
-            "event": "rows",
-            "first_seq": now_seq - count + 1,
-            "now_seq": now_seq,
-            "epoch": ns.session.epoch,
-            "namespace": ns.name,
-            "rows": [list(row) for row in rows],
-            "timestamps": (list(timestamps)
-                           if timestamps is not None else None),
-        })
+        event.update(namespace=ns.name, **self._seq_state(ns))
+        payload = encode_frame(event)
         for replica in list(self._replicas):
             await replica.events.put(payload)
-            self._m_replicated.inc(count)
+            self._m_replicated.inc(rows)
 
     async def _op_auth(self, conn, frame, request_id) -> None:
         """Authenticate this connection into a namespace (or as admin).
@@ -1029,7 +1027,7 @@ class ServeServer:
         Multi-tenant only; a single-tenant server rejects the op — its
         connections already own the open default namespace.
         """
-        if not self.multi_tenant:
+        if self.tenants.open:
             raise ProtocolError(
                 "bad_request", "this server has no tenants configured"
             )
@@ -1043,13 +1041,11 @@ class ServeServer:
         self.tenants.authenticate(name, frame.get("token"))
         ns = self.tenants.namespace(name)
         conn.namespace = ns
-        self._send(conn, ok_frame(
-            "auth", request_id, namespace=ns.name,
-            epoch=ns.session.epoch,
-            now_seq=ns.session.monitor.manager.now_seq,
-        ))
+        self._send(conn, ok_frame("auth", request_id, namespace=ns.name,
+                                  **self._seq_state(ns)))
 
     async def _op_register(self, conn, frame, request_id) -> None:
+        self._require_primary("register")
         ns = self._require_namespace(conn)
         max_queries = ns.spec.quotas.max_queries
         if max_queries is not None \
@@ -1064,11 +1060,29 @@ class ServeServer:
             frame.get("scoring"), frame.get("k"), frame.get("n"),
         )
         self._refresh_ns_gauges(ns)
+        if self._replicas:
+            # The standby redoes the registration (and the group
+            # bootstrap) at the same point of the feed, under the same
+            # handle.
+            await self._replicate(ns, {
+                "event": "register",
+                "query": ns.session.record(handle_id).spec(),
+                "next_handle": ns.session._next_handle,
+            })
         self._send(conn, ok_frame("register", request_id, query=handle_id))
 
     async def _op_unregister(self, conn, frame, request_id) -> None:
+        self._require_primary("unregister")
         ns = self._require_namespace(conn)
         handle_id = frame.get("query")
+        await self._unregister(ns, handle_id)
+        self._send(conn, ok_frame("unregister", request_id,
+                                  query=handle_id))
+
+    async def _unregister(self, ns: Namespace, handle_id) -> None:
+        """Drop a query and close its subscriptions (the ``unregister``
+        op, and a standby applying the primary's unregister)."""
+        spec = ns.session.record(handle_id).spec()  # raises unknown_query
         ns.session.unregister(handle_id)
         # Subscribers of a query that just vanished get a closed event
         # (subscribe-then-unregister must not strand them waiting).
@@ -1083,10 +1097,14 @@ class ServeServer:
             self._m_subscribers.dec()
         ns.subscriptions -= len(subscribers)
         self._refresh_ns_gauges(ns)
+        if self.role == "primary" and self._replicas:
+            await self._replicate(ns, {
+                "event": "unregister",
+                "query": spec,
+                "next_handle": ns.session._next_handle,
+            })
         for subscriber in subscribers:
             await subscriber.events.put(closed)
-        self._send(conn, ok_frame("unregister", request_id,
-                                  query=handle_id))
 
     async def _op_snapshot(self, conn, frame, request_id) -> None:
         ns = self._require_namespace(conn)
@@ -1167,13 +1185,14 @@ class ServeServer:
             return
         ns = self._require_namespace(conn)
         ship = bool(frame.get("ship"))
-        default_name = f"{ns.name}.ckpt" if self.multi_tenant \
-            else "checkpoint.json"
+        default_name = "checkpoint.json" if self.tenants.open \
+            else f"{ns.name}.ckpt"
         path = frame.get("path", default_name)
         if not ship and (not isinstance(path, str) or not path):
             raise ProtocolError("bad_request",
                                 "'path' must be a non-empty string")
-        if not ship and self.multi_tenant and os.path.basename(path) != path:
+        if not ship and not self.tenants.open \
+                and os.path.basename(path) != path:
             # Tenants name their checkpoint inside the server's
             # checkpoint dir; absolute/relative paths would let one
             # namespace overwrite another's files (or anything else).
@@ -1216,10 +1235,9 @@ class ServeServer:
     async def _checkpoint_all(self, conn, frame, request_id) -> None:
         """Checkpoint every live namespace (admin only on multi-tenant
         servers): per-namespace ``<ns>.ckpt`` files in the checkpoint
-        dir, or — with ``ship`` — an inline ``states`` map (the
-        multi-tenant standby bootstrap)."""
-        if self.multi_tenant:
-            self._require_admin(conn, "checkpoint scope \"all\"")
+        dir, or — with ``ship`` — an inline ``states`` map (the standby
+        bootstrap)."""
+        self._require_admin(conn, "checkpoint scope \"all\"")
         ship = bool(frame.get("ship"))
         namespaces = list(self.tenants.namespaces())
         start = perf_counter()
@@ -1267,26 +1285,15 @@ class ServeServer:
     async def _op_replicate(self, conn, frame, request_id) -> None:
         """Register this connection as a replication subscriber: every
         batch admitted from now on is mirrored to it as a ``rows``
-        event.  The ack carries ``now_seq`` so the standby knows where
-        the feed starts relative to the checkpoint it bootstraps from.
+        event, every query registration change as a ``register`` or
+        ``unregister`` event.  The ack carries ``now_seq`` so the
+        standby knows where the feed starts relative to the checkpoint
+        it bootstraps from.
         """
-        if self.multi_tenant:
-            self._require_admin(conn, "replicate")
+        self._require_admin(conn, "replicate")
         self._replicas.add(conn)
-        payload: dict = {"role": self.role}
-        default = self._default_namespace()
-        if not self.multi_tenant and default is not None:
-            payload["now_seq"] = default.session.monitor.manager.now_seq
-            payload["epoch"] = default.session.epoch
-        else:
-            payload["namespaces"] = {
-                ns.name: {
-                    "now_seq": ns.session.monitor.manager.now_seq,
-                    "epoch": ns.session.epoch,
-                }
-                for ns in self.tenants.namespaces()
-            }
-        self._send(conn, ok_frame("replicate", request_id, **payload))
+        self._send(conn, ok_frame("replicate", request_id, role=self.role,
+                                  **self._namespace_states()))
 
     async def _op_promote(self, conn, frame, request_id) -> None:
         """Promote a standby to primary: stop tailing, bump the fencing
@@ -1295,8 +1302,7 @@ class ServeServer:
         :func:`~repro.serve.checkpoint.write_checkpoint_document`
         refuses to let them clobber the promoted lineage's files.
         """
-        if self.multi_tenant:
-            self._require_admin(conn, "promote")
+        self._require_admin(conn, "promote")
         if self.role == "primary":
             raise ProtocolError("bad_request",
                                 "this server is already the primary")
@@ -1305,20 +1311,8 @@ class ServeServer:
         for ns in self.tenants.namespaces():
             ns.session.epoch += 1
         self.role = "primary"
-        payload: dict = {"role": self.role}
-        default = self._default_namespace()
-        if not self.multi_tenant and default is not None:
-            payload["epoch"] = default.session.epoch
-            payload["now_seq"] = default.session.monitor.manager.now_seq
-        else:
-            payload["namespaces"] = {
-                ns.name: {
-                    "epoch": ns.session.epoch,
-                    "now_seq": ns.session.monitor.manager.now_seq,
-                }
-                for ns in self.tenants.namespaces()
-            }
-        self._send(conn, ok_frame("promote", request_id, **payload))
+        self._send(conn, ok_frame("promote", request_id, role=self.role,
+                                  **self._namespace_states()))
 
     async def _op_epoch(self, conn, frame, request_id) -> None:
         """Cheap liveness/catch-up probe: role, fencing epoch, and the
@@ -1330,20 +1324,11 @@ class ServeServer:
         role (liveness without tenant enumeration).
         """
         payload: dict = {"role": self.role}
-        if conn.namespace is not None:
-            payload["epoch"] = conn.namespace.session.epoch
-            payload["now_seq"] = \
-                conn.namespace.session.monitor.manager.now_seq
-            if self.multi_tenant:
-                payload["namespace"] = conn.namespace.name
-        if self.multi_tenant and conn.admin:
-            payload["namespaces"] = {
-                ns.name: {
-                    "epoch": ns.session.epoch,
-                    "now_seq": ns.session.monitor.manager.now_seq,
-                }
-                for ns in self.tenants.namespaces()
-            }
+        if conn.namespace is not None and not self.tenants.open:
+            payload["namespace"] = conn.namespace.name
+            payload.update(self._seq_state(conn.namespace))
+        if conn.admin:
+            payload.update(self._namespace_states())
         if self.standby is not None:
             payload["standby"] = self.standby.stats()
         self._send(conn, ok_frame("epoch", request_id, **payload))
@@ -1366,7 +1351,7 @@ class ServeServer:
             "obs_port": self.obs.port if self.obs is not None else None,
             "tracing": bool(self.spans.enabled),
         }
-        if self.multi_tenant:
+        if not self.tenants.open:
             tenancy: dict = {}
             if ns is not None:
                 tenancy.update(
@@ -1395,8 +1380,7 @@ class ServeServer:
         self._send(conn, ok_frame("stats", request_id, stats=payload))
 
     async def _op_shutdown(self, conn, frame, request_id) -> None:
-        if self.multi_tenant:
-            self._require_admin(conn, "shutdown")
+        self._require_admin(conn, "shutdown")
         self._send(conn, ok_frame("shutdown", request_id))
         try:
             await conn.writer.drain()
@@ -1414,12 +1398,15 @@ class BackgroundServer:
         with BackgroundServer(session) as server:
             client = ServeClient(port=server.port)
 
-    ``repro serve`` itself runs the server on the main thread instead
-    (signal handlers only work there).
+    The first argument is a :class:`NamespaceRegistry` or a bare
+    session, as for :class:`ServeServer`.  ``repro serve`` itself runs
+    the server on the main thread instead (signal handlers only work
+    there).
     """
 
-    def __init__(self, session: ServerMonitor, **server_kwargs) -> None:
-        self.server = ServeServer(session, **server_kwargs)
+    def __init__(self, tenants: NamespaceRegistry | ServerMonitor,
+                 **server_kwargs) -> None:
+        self.server = ServeServer(tenants, **server_kwargs)
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = threading.Event()

@@ -6,24 +6,27 @@ a primary's engine state so failover costs an epoch bump instead of an
 
 1. **bootstrap** — :func:`connect_standby` opens one synchronous
    connection to the primary and sends ``replicate`` *first*, then
-   ``checkpoint`` with ``ship: true``.  Both ops serialize on the
-   primary's event loop, so every batch admitted after the checkpoint
-   snapshot is guaranteed to arrive on the replication feed — no gap,
-   no double-apply window.  The shipped document is restored
-   structurally (:func:`~repro.serve.checkpoint.restore_server_monitor`)
-   into a fresh session: window, skiplists, skybands, staircases, query
-   registry, epoch.
+   ``checkpoint`` with ``ship: true`` and ``scope: "all"``.  Both ops
+   serialize on the primary's event loop, so every change made after
+   the checkpoint snapshot is guaranteed to arrive on the replication
+   feed — no gap, no double-apply window.  Each shipped namespace
+   document is restored structurally
+   (:func:`~repro.serve.checkpoint.restore_server_monitor`) into a
+   fresh session of the standby's registry: window, skiplists,
+   skybands, staircases, query registry, epoch.
 2. **tail** — the bootstrap connection is *detached* from the sync
    client (:meth:`~repro.serve.client.ServeClient.detach`) and adopted
    by a :class:`StandbyTailer` on the standby server's event loop.  The
    tailer applies every ``rows`` event through the ordinary ingest path
-   (so the maintainer state stays exactly what the primary computes),
-   journals the answer deltas to an optional JSONL delta log, and fans
-   them out to the standby's own subscribers.  Events overlapping the
-   checkpoint are skipped; a sequence gap, engine desync or epoch
-   mismatch raises :class:`~repro.exceptions.ReplicationError` — a
-   standby that cannot prove it is byte-identical to the primary must
-   not keep serving.
+   (so the maintainer state stays exactly what the primary computes)
+   and every ``register``/``unregister`` event through the ordinary
+   query registry (so a client's query handles mean the same query on
+   both), journals the answer deltas to an optional JSONL delta log,
+   and fans them out to the standby's own subscribers.  Events the
+   checkpoint already covers are skipped; a sequence gap, engine
+   desync, handle mismatch or epoch mismatch raises
+   :class:`~repro.exceptions.ReplicationError` — a standby that cannot
+   prove it is byte-identical to the primary must not keep serving.
 3. **promote** — the ``promote`` op stops the tailer, bumps the fencing
    epoch by one and flips the role to primary.  The old primary's
    checkpoints now carry a stale epoch and
@@ -41,12 +44,11 @@ import json
 import socket
 from typing import Optional
 
-from repro.exceptions import ReplicationError, ServeError
+from repro.exceptions import ProtocolError, ReplicationError, ServeError
 from repro.serve.checkpoint import restore_server_monitor
 from repro.serve.client import ServeClient
 from repro.serve.protocol import pair_to_wire
-from repro.serve.session import ServerMonitor
-from repro.serve.tenancy import DEFAULT_NAMESPACE, NamespaceRegistry
+from repro.serve.tenancy import DEFAULT_NAMESPACE, Namespace, NamespaceRegistry
 
 __all__ = ["StandbyTailer", "connect_standby"]
 
@@ -58,10 +60,10 @@ def _append_lines(path: str, text: str) -> None:
 
 
 class StandbyTailer:
-    """Applies a primary's replication feed to a restored session.
+    """Applies a primary's replication feed to a restored registry.
 
     Owns the detached bootstrap socket; :meth:`run` adopts it onto the
-    running event loop and consumes ``rows`` events until stopped,
+    running event loop and consumes feed events until stopped,
     disconnected, or broken.  All engine access happens on the server's
     event loop, so replication applies serialize with client reads the
     same way primary-side ingests do.
@@ -69,26 +71,17 @@ class StandbyTailer:
 
     def __init__(
         self,
-        session: Optional[ServerMonitor] = None,
-        sock: Optional[socket.socket] = None,
+        registry: NamespaceRegistry,
+        sock: socket.socket,
         *,
         leftover: bytes = b"",
         pending_events: Optional[list[dict]] = None,
         delta_log: Optional[str] = None,
         primary: str = "?",
-        registry: Optional[NamespaceRegistry] = None,
     ) -> None:
-        if sock is None:
-            raise ServeError("StandbyTailer needs the detached feed socket")
-        if session is None and registry is None:
-            raise ServeError(
-                "StandbyTailer needs a session or a namespace registry"
-            )
-        #: the single-tenant session (``None`` on a multi-tenant standby,
-        #: where ``registry`` routes each feed event to its namespace)
-        self.session = session
-        #: multi-tenant routing table: ``rows`` events carry a
-        #: ``namespace`` field and apply to that namespace's session
+        #: the routing table: every feed event carries a ``namespace``
+        #: field and applies to that namespace's session (an open
+        #: registry's one ``default`` namespace on a single-tenant pair)
         self.registry = registry
         self.delta_log = delta_log
         self.primary = primary
@@ -112,8 +105,9 @@ class StandbyTailer:
 
     # ------------------------------------------------------------------
     def attach(self, server) -> None:
-        """Give the tailer a server to fan replicated deltas out
-        through (called by :meth:`ServeServer.start`)."""
+        """Give the tailer the server serving its registry, to fan
+        replicated deltas out through and close the subscriptions of
+        unregistered queries (called by :meth:`ServeServer.start`)."""
         self._server = server
 
     def stop(self) -> None:
@@ -131,11 +125,13 @@ class StandbyTailer:
     def stats(self) -> dict:
         """JSON-able tailer state (the ``epoch`` op and ``stats``
         responses embed this)."""
+        default = self.registry.get(DEFAULT_NAMESPACE) \
+            if self.registry.open else None
         payload = {
             "primary": self.primary,
             "applied_seq": (
-                self.session.monitor.manager.now_seq
-                if self.session is not None else None
+                default.session.monitor.manager.now_seq
+                if default is not None else None
             ),
             "events_applied": self.events_applied,
             "rows_applied": self.rows_applied,
@@ -145,7 +141,7 @@ class StandbyTailer:
             "error": self.error,
             "delta_log": self.delta_log,
         }
-        if self.registry is not None:
+        if not self.registry.open:
             payload["namespaces"] = {
                 ns.name: ns.session.monitor.manager.now_seq
                 for ns in self.registry.namespaces()
@@ -173,38 +169,47 @@ class StandbyTailer:
     def _buffered_feed(self, chunk: bytes) -> None:
         self._buf.extend(chunk)
 
-    def _note_lag(self, session: ServerMonitor, primary_seq: int) -> None:
+    def _note_lag(self, ns: Namespace, primary_seq: int) -> None:
         self.lag_rows = max(
-            0, primary_seq - session.monitor.manager.now_seq
+            0, primary_seq - ns.session.monitor.manager.now_seq
         )
 
-    def _session_for(self, name: str, first: int
-                     ) -> Optional[ServerMonitor]:
-        """The session a ``rows`` event for namespace ``name`` applies
-        to; ``None`` for foreign lanes a single-tenant tailer should
-        skip.  A namespace born on the primary *after* bootstrap shows
-        up as an unknown name whose feed starts at seq 1 — the registry
-        lazily creates it; any other unknown name is a routing bug."""
-        if self.registry is None:
-            if self.session is None or name != self.session.namespace:
-                return None
-            return self.session
-        ns = self.registry.get(name)
-        if ns is not None:
-            return ns.session
-        if first != 1:
+    def _namespace_for(self, event: dict, start: int) -> Namespace:
+        """The namespace a feed event applies to, after checking it is
+        of the standby's lineage.  ``start`` is the namespace's seq just
+        before the event.  A namespace born on the primary *after*
+        bootstrap shows up as an unknown name at ``start`` 0 — the
+        registry lazily creates it; any other unknown name is a routing
+        bug."""
+        name = event.get("namespace", DEFAULT_NAMESPACE)
+        if not isinstance(name, str) or not name:
             raise ReplicationError(
-                f"feed references unknown namespace {name!r} mid-stream "
-                f"(first_seq={first}); the bootstrap checkpoint should "
-                f"have covered it"
+                f"malformed namespace on {event.get('event')} event: "
+                f"{event!r}"
             )
-        try:
-            return self.registry.namespace(name).session
-        except ServeError as exc:
+        ns = self.registry.get(name)
+        if ns is None:
+            if start != 0:
+                raise ReplicationError(
+                    f"feed references unknown namespace {name!r} "
+                    f"mid-stream (at seq {start}); the bootstrap "
+                    f"checkpoint should have covered it"
+                )
+            try:
+                ns = self.registry.namespace(name)
+            except ServeError as exc:
+                raise ReplicationError(
+                    f"cannot create namespace {name!r} for the "
+                    f"replication feed: {exc}"
+                ) from exc
+        epoch = event.get("epoch")
+        if isinstance(epoch, int) and epoch != ns.session.epoch:
             raise ReplicationError(
-                f"cannot create namespace {name!r} for the replication "
-                f"feed: {exc}"
-            ) from exc
+                f"epoch mismatch: the feed carries epoch {epoch} for "
+                f"namespace {name!r} but this standby bootstrapped at "
+                f"epoch {ns.session.epoch} — refusing to mix lineages"
+            )
+        return ns
 
     # ------------------------------------------------------------------
     async def run(self) -> None:
@@ -260,12 +265,20 @@ class StandbyTailer:
             self._buffered_feed(chunk)
 
     async def _apply(self, event: dict) -> None:
-        """Apply one feed frame.  Non-``rows`` events (deltas meant for
-        ordinary subscribers, ``bye``) are ignored; ``rows`` events are
-        ingested with overlap-skip against what the checkpoint already
-        covers, and any other discontinuity is fatal."""
-        if event.get("event") != "rows":
-            return
+        """Apply one feed frame.  ``rows`` events are ingested and
+        ``register``/``unregister`` events change the query registry,
+        each skipped when the checkpoint already covers it; any other
+        discontinuity is fatal.  Other events (deltas meant for
+        ordinary subscribers, ``bye``) are ignored."""
+        kind = event.get("event")
+        if kind == "rows":
+            await self._apply_rows(event)
+        elif kind == "register":
+            self._apply_register(event)
+        elif kind == "unregister":
+            await self._apply_unregister(event)
+
+    async def _apply_rows(self, event: dict) -> None:
         first = event.get("first_seq")
         now = event.get("now_seq")
         rows = event.get("rows")
@@ -274,24 +287,11 @@ class StandbyTailer:
             raise ReplicationError(
                 f"malformed rows event from the primary: {event!r}"
             )
-        name = event.get("namespace", DEFAULT_NAMESPACE)
-        if not isinstance(name, str) or not name:
-            raise ReplicationError(
-                f"malformed namespace on rows event: {event!r}"
-            )
-        session = self._session_for(name, first)
-        if session is None:
-            return  # another tenant's lane; not ours to apply
-        epoch = event.get("epoch")
-        if isinstance(epoch, int) and epoch != session.epoch:
-            raise ReplicationError(
-                f"epoch mismatch: the feed carries epoch {epoch} for "
-                f"namespace {name!r} but this standby bootstrapped at "
-                f"epoch {session.epoch} — refusing to mix lineages"
-            )
+        ns = self._namespace_for(event, first - 1)
+        name, session = ns.name, ns.session
         timestamps = event.get("timestamps")
         applied = session.monitor.manager.now_seq
-        self._note_lag(session, now)
+        self._note_lag(ns, now)
         if now <= applied:
             return  # the shipped checkpoint already covered this batch
         if first <= applied:
@@ -327,7 +327,7 @@ class StandbyTailer:
                     "left": [pair_to_wire(p) for p in delta.left],
                     "epoch": session.epoch,
                 }
-                if self.registry is not None:
+                if not self.registry.open:
                     entry["namespace"] = name
                 lines.append(
                     json.dumps(entry, separators=(",", ":")) + "\n"
@@ -338,10 +338,79 @@ class StandbyTailer:
                 None, _append_lines, self.delta_log, text,
             )
         if self._server is not None:
-            target = self._server.tenants.get(name)
-            if target is not None and target.session is session:
-                await self._server._fan_out_delta_list(target, deltas)
-        self._note_lag(session, now)
+            await self._server._fan_out_delta_list(ns, deltas)
+        self._note_lag(ns, now)
+
+    def _query_change(self, event: dict
+                      ) -> tuple[Namespace, dict, Optional[dict]]:
+        """Check a ``register``/``unregister`` event; returns its
+        namespace, the query's spec, and the spec this standby holds
+        under that handle (``None`` when it holds none).  The same
+        handle with another spec is fatal."""
+        now = event.get("now_seq")
+        spec = event.get("query")
+        if not isinstance(now, int) \
+                or not isinstance(event.get("next_handle"), int) \
+                or not isinstance(spec, dict) \
+                or not isinstance(spec.get("handle"), str):
+            raise ReplicationError(
+                f"malformed {event['event']} event from the primary: "
+                f"{event!r}"
+            )
+        ns = self._namespace_for(event, now)
+        try:
+            held = ns.session.record(spec["handle"]).spec()
+        except ProtocolError:
+            held = None
+        if held is not None and held != spec:
+            raise ReplicationError(
+                f"handle mismatch: namespace {ns.name!r} holds "
+                f"{spec['handle']!r} as {held} but the primary's "
+                f"{event['event']} names {spec}"
+            )
+        return ns, spec, held
+
+    def _apply_register(self, event: dict) -> None:
+        """Redo a primary-side ``register`` under the same handle.
+
+        Skipped when the bootstrap checkpoint already holds it: the
+        handle is held (with the same spec), or the checkpoint's handle
+        counter is already past it (registered and dropped before the
+        ship).  A new register at another ``now_seq`` than this
+        standby's is fatal.
+        """
+        ns, spec, held = self._query_change(event)
+        session = ns.session
+        if held is not None or event["next_handle"] <= session._next_handle:
+            return
+        now = session.monitor.manager.now_seq
+        if event["now_seq"] != now:
+            raise ReplicationError(
+                f"replication desync: the primary registered "
+                f"{spec['handle']!r} in namespace {ns.name!r} at seq "
+                f"{event['now_seq']} but this standby is at seq {now}"
+            )
+        try:
+            session.register(spec.get("scoring"), spec.get("k"),
+                             spec.get("n"), handle_id=spec["handle"])
+        except ProtocolError as exc:
+            raise ReplicationError(
+                f"cannot mirror the primary's register of "
+                f"{spec['handle']!r}: {exc}"
+            ) from exc
+        session._next_handle = max(session._next_handle,
+                                   event["next_handle"])
+        self.events_applied += 1
+
+    async def _apply_unregister(self, event: dict) -> None:
+        """Redo a primary-side ``unregister``, closing the standby's own
+        subscriptions of the query; skipped when the bootstrap
+        checkpoint already dropped the handle."""
+        ns, spec, held = self._query_change(event)
+        if held is None:
+            return
+        self.events_applied += 1
+        await self._server._unregister(ns, spec["handle"])
 
 
 def connect_standby(
@@ -359,92 +428,80 @@ def connect_standby(
     """Bootstrap a warm standby from a running primary.
 
     Subscribes to the replication feed *before* requesting the shipped
-    checkpoint (both on one connection, so the primary's event loop
-    serializes them): every batch admitted after the snapshot is on the
-    feed, and batches the snapshot already covers are skipped by the
-    tailer's overlap check.
+    checkpoint of every namespace (both on one connection, so the
+    primary's event loop serializes them): every change made after the
+    snapshot is on the feed, and changes the snapshot already covers
+    are skipped by the tailer's overlap checks.
 
-    Single-tenant primary: returns ``(session, tailer)`` — the restored
-    :class:`~repro.serve.session.ServerMonitor` plus a not-yet-running
-    :class:`StandbyTailer`; hand both to
-    :class:`~repro.serve.server.ServeServer` with ``role="standby"``.
+    Every namespace document in the shipped ``states`` map is restored
+    and installed into ``registry``, and the returned ``(registry,
+    tailer)`` pair — the tailer not yet running — plugs into
+    ``ServeServer(registry, role="standby", standby=tailer)``.
 
-    Multi-tenant primary (its hello carries ``multi_tenant: true``):
-    pass the standby's own :class:`NamespaceRegistry` (built from the
-    same tenants file) plus the primary's admin token — ``replicate``
-    and ``checkpoint`` are admin ops there.  Every namespace document
-    in the shipped ``states`` map is restored and installed into the
-    registry, and the returned ``(registry, tailer)`` pair plugs into
-    ``ServeServer(tenants=registry, role="standby", standby=tailer)``.
-    Namespaces born on the primary *after* bootstrap are created lazily
-    by the tailer through the registry's session factory.
+    The registry's mode must match the primary's.  A single-tenant
+    primary ships its one ``default`` namespace; pass an open registry,
+    or none and an open one is built.  A multi-tenant primary (its
+    hello carries ``multi_tenant: true``) needs the standby's own
+    :class:`NamespaceRegistry`, built from the same tenants file, plus
+    the primary's admin token (``replicate`` and ``checkpoint`` are
+    admin ops there).  Namespaces born on the primary *after* bootstrap
+    are created lazily by the tailer through the registry's session
+    factory.
     """
+    if registry is None:
+        registry = NamespaceRegistry(open_default=True)
     client = ServeClient(host=host, port=port, timeout=timeout)
     try:
-        hello = client.hello or {}
-        multi = bool(hello.get("multi_tenant"))
+        multi = bool((client.hello or {}).get("multi_tenant"))
+        if multi and registry.open:
+            raise ServeError(
+                "the primary is multi-tenant; pass the standby's "
+                "namespace registry (and the primary's admin token) "
+                "to bootstrap every namespace"
+            )
+        if not multi and not registry.open:
+            raise ServeError(
+                "a tenants registry was supplied but the primary is "
+                "single-tenant; bootstrap it without one"
+            )
         if multi:
-            if registry is None:
-                raise ServeError(
-                    "the primary is multi-tenant; pass the standby's "
-                    "namespace registry (and the primary's admin token) "
-                    "to bootstrap every namespace"
-                )
             token = admin_token if admin_token is not None \
                 else registry.admin_token
             client.auth(token=token, admin=True)
-            client.replicate()
-            reply = client.checkpoint(ship=True, scope="all")
-            states = reply.get("states")
-            if not isinstance(states, dict):
-                raise ServeError(
-                    "primary did not ship a per-namespace states map"
-                )
-            for name in sorted(states):
-                state = states[name]
-                if not isinstance(state, dict):
-                    raise ServeError(
-                        f"namespace {name!r} shipped a malformed "
-                        f"checkpoint state document"
-                    )
-                session = restore_server_monitor(
-                    state, mode=mode, audit=audit, recorder=recorder,
-                )
-                if session.namespace != name:
-                    raise ReplicationError(
-                        f"shipped state keyed {name!r} embeds namespace "
-                        f"{session.namespace!r} — refusing the "
-                        f"misrouted document"
-                    )
-                registry.install(name, session)
-            restored = registry
-        else:
-            if registry is not None:
-                raise ServeError(
-                    "a namespace registry was supplied but the primary "
-                    "is single-tenant; bootstrap it without one"
-                )
-            client.replicate()
-            reply = client.checkpoint(ship=True)
-            state = reply.get("state")
+        client.replicate()
+        reply = client.checkpoint(ship=True, scope="all")
+        states = reply.get("states")
+        if not isinstance(states, dict):
+            raise ServeError(
+                "primary did not ship a per-namespace states map"
+            )
+        for name in sorted(states):
+            state = states[name]
             if not isinstance(state, dict):
                 raise ServeError(
-                    "primary did not ship a checkpoint state document"
+                    f"namespace {name!r} shipped a malformed "
+                    f"checkpoint state document"
                 )
-            restored = restore_server_monitor(
+            session = restore_server_monitor(
                 state, mode=mode, audit=audit, recorder=recorder,
             )
+            if session.namespace != name:
+                raise ReplicationError(
+                    f"shipped state keyed {name!r} embeds namespace "
+                    f"{session.namespace!r} — refusing the "
+                    f"misrouted document"
+                )
+            registry.install(name, session)
     except BaseException:
         client.close()
         raise
     sock, leftover, events = client.detach()
     tailer = StandbyTailer(
-        None if multi else restored,
+        registry,
         sock,
         leftover=leftover,
         pending_events=events,
         delta_log=delta_log,
         primary=f"{host}:{port}",
-        registry=registry if multi else None,
     )
-    return restored, tailer
+    return registry, tailer

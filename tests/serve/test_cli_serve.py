@@ -3,10 +3,17 @@ as real subprocesses (announce line, signal drain, checkpoint flags)."""
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
 import sys
+
+import pytest
+
+from repro.serve.checkpoint import save_checkpoint
+from repro.serve.session import ServerMonitor
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
@@ -167,3 +174,49 @@ class TestServeSubprocess:
         finally:
             run_client(port, "shutdown")
             process.wait(timeout=30)
+
+
+def _v1_checkpoint(path):
+    """A checkpoint in the retired v1 format (no maintainer state)."""
+    save_checkpoint(ServerMonitor(8, 2), str(path))
+    state = json.loads(path.read_text())
+    del state["maintainers"]
+    del state["epoch"]
+    state["version"] = 1
+    path.write_text(json.dumps(state))
+    return str(path)
+
+
+class TestServeStartupFailures:
+    """A server that cannot start says why on one stderr line."""
+
+    @pytest.mark.parametrize("case", ["restore_v1", "restore_missing",
+                                      "standby_refused", "port_busy"])
+    def test_exits_with_one_line(self, case, tmp_path):
+        blocker = None
+        if case == "restore_v1":
+            args = ["--restore", _v1_checkpoint(tmp_path / "v1.json")]
+        elif case == "restore_missing":
+            args = ["--restore", str(tmp_path / "missing.json")]
+        elif case == "standby_refused":
+            args = ["--standby", "127.0.0.1:1"]
+        else:
+            blocker, port = spawn_server()
+            args = ["--port", str(port)]
+        try:
+            env = dict(os.environ, PYTHONPATH=SRC)
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "serve", "--columns", "2",
+                 *args],
+                capture_output=True, text=True, timeout=60, env=env,
+            )
+        finally:
+            if blocker is not None:
+                run_client(port, "shutdown")
+                blocker.wait(timeout=30)
+                blocker.stdout.close()
+        assert result.returncode != 0
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("repro serve: "), lines

@@ -77,7 +77,7 @@ def _wait_for(get, want, timeout=10.0):
 def _check_rejected_atomically(rows, timestamps, horizon=None):
     """Primary + warm standby: the bad batch changes nothing, and the
     standby follows the next good batch."""
-    with BackgroundServer(None, tenants=_registry(horizon)) as primary:
+    with BackgroundServer(_registry(horizon)) as primary:
         with ServeClient(port=primary.port) as client:
             client.auth("beta", TOKEN)
             client.register("closest", 3)
@@ -87,7 +87,7 @@ def _check_rejected_atomically(rows, timestamps, horizon=None):
                 "127.0.0.1", primary.port, registry=standby_registry,
                 admin_token=ADMIN_TOKEN,
             )
-            with BackgroundServer(None, tenants=standby_registry,
+            with BackgroundServer(standby_registry,
                                   role="standby", standby=tailer):
                 bucket = primary.server.tenants.get("beta").bucket
                 tokens = bucket.tokens
@@ -129,8 +129,9 @@ def test_single_tenant_standby_stays_in_sync():
     with BackgroundServer(ServerMonitor(32, 2)) as primary:
         with ServeClient(port=primary.port) as client:
             client.register("closest", 3)
-            session, tailer = connect_standby("127.0.0.1", primary.port)
-            with BackgroundServer(session, role="standby", standby=tailer):
+            registry, tailer = connect_standby("127.0.0.1", primary.port)
+            session = registry.get("default").session
+            with BackgroundServer(registry, role="standby", standby=tailer):
                 with pytest.raises(ServeRequestError) as err:
                     client.ingest(BAD_BATCHES["short_row"][0])
                 assert err.value.code == "bad_request"

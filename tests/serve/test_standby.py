@@ -10,17 +10,21 @@ promotion: no delta lost, none duplicated.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import random
+import socket
 import time
 
 import pytest
 
+from repro.exceptions import ReplicationError
 from repro.serve.client import ServeClient, ServeRequestError, apply_delta
 from repro.serve.server import BackgroundServer
 from repro.serve.session import ServerMonitor
-from repro.serve.standby import connect_standby
+from repro.serve.standby import StandbyTailer, connect_standby
+from repro.serve.tenancy import NamespaceRegistry, TenantSpec
 
 
 def rows(n, seed=0):
@@ -48,14 +52,14 @@ def primary():
 
 
 def boot_standby(primary, **kwargs):
-    session, tailer = connect_standby("127.0.0.1", primary.port, **kwargs)
-    background = BackgroundServer(session, role="standby", standby=tailer)
-    return background.start(), session, tailer
+    registry, tailer = connect_standby("127.0.0.1", primary.port, **kwargs)
+    background = BackgroundServer(registry, role="standby", standby=tailer)
+    return background.start(), registry, tailer
 
 
 class TestStandby:
     def test_bootstrap_matches_primary(self, primary):
-        standby, session, tailer = boot_standby(primary)
+        standby, registry, tailer = boot_standby(primary)
         try:
             with ServeClient(port=primary.port) as p, \
                     ServeClient(port=standby.port) as s:
@@ -67,7 +71,7 @@ class TestStandby:
             standby.stop()
 
     def test_standby_tails_and_rejects_ingest(self, primary):
-        standby, session, tailer = boot_standby(primary)
+        standby, registry, tailer = boot_standby(primary)
         try:
             with ServeClient(port=primary.port) as p, \
                     ServeClient(port=standby.port) as s:
@@ -86,7 +90,7 @@ class TestStandby:
     def test_promote_after_primary_death(self, primary):
         """The failover drill: kill the primary, promote the standby,
         keep serving — subscribers lose no delta and see none twice."""
-        standby, session, tailer = boot_standby(primary)
+        standby, registry, tailer = boot_standby(primary)
         try:
             subscriber = ServeClient(port=standby.port)
             answer = subscriber.subscribe("q1")
@@ -141,8 +145,8 @@ class TestStandby:
 
     def test_delta_log_journal(self, primary, tmp_path):
         log_path = str(tmp_path / "deltas.jsonl")
-        standby, session, tailer = boot_standby(primary,
-                                                delta_log=log_path)
+        standby, registry, tailer = boot_standby(primary,
+                                                 delta_log=log_path)
         try:
             with ServeClient(port=primary.port) as p, \
                     ServeClient(port=standby.port) as s:
@@ -166,7 +170,7 @@ class TestStandby:
     def test_fenced_checkpoint_after_promote(self, primary, tmp_path):
         """After a failover the old primary cannot overwrite the
         promoted lineage's checkpoint file."""
-        standby, session, tailer = boot_standby(primary)
+        standby, registry, tailer = boot_standby(primary)
         try:
             path = str(tmp_path / "ck.json")
             with ServeClient(port=standby.port) as s:
@@ -182,3 +186,166 @@ class TestStandby:
             assert "epoch" in str(err.value)
         finally:
             standby.stop()
+
+
+ALPHA_TOKEN = "alpha-secret-token"
+ADMIN_TOKEN = "admin-secret-token"
+
+
+def tenants_registry():
+    return NamespaceRegistry(
+        {"alpha": TenantSpec("alpha", ALPHA_TOKEN)},
+        lambda name, spec: ServerMonitor(32, 2, seed=5),
+        admin_token=ADMIN_TOKEN,
+    )
+
+
+def wait_until(probe, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if probe():
+            return
+        time.sleep(0.01)
+    raise AssertionError("condition never held")
+
+
+def knows(client, query):
+    try:
+        client.snapshot(query=query)
+    except ServeRequestError as exc:
+        assert exc.code == "unknown_query"
+        return False
+    return True
+
+
+class TestQueryRegistryMirror:
+    @pytest.mark.parametrize("multi", [False, True],
+                             ids=["single_tenant", "multi_tenant"])
+    def test_handles_survive_failover(self, multi):
+        """Queries registered and dropped on the primary after the
+        standby bootstrapped exist on the standby under the same
+        handles; the standby hands out no handles of its own."""
+        def connect(port, admin=False):
+            client = ServeClient(port=port)
+            if multi and admin:
+                client.auth(token=ADMIN_TOKEN, admin=True)
+            elif multi:
+                client.auth("alpha", ALPHA_TOKEN)
+            return client
+
+        tenants = tenants_registry() if multi \
+            else ServerMonitor(32, 2, seed=5)
+        with BackgroundServer(tenants) as primary:
+            writer = connect(primary.port)
+            assert writer.register("closest", 3) == "q1"
+            writer.ingest(rows(40))
+            registry, tailer = connect_standby(
+                "127.0.0.1", primary.port,
+                registry=tenants_registry() if multi else None,
+            )
+            with BackgroundServer(registry, role="standby",
+                                  standby=tailer) as standby:
+                reader = connect(standby.port)
+                watcher = connect(standby.port)
+                assert writer.register("furthest", 2) == "q2"
+                assert writer.register("similar", 4) == "q3"
+                wait_until(lambda: knows(reader, "q3"))
+                watcher.subscribe("q3")
+                writer.unregister("q3")
+                event = watcher.next_event(timeout=10.0)
+                assert event == {"event": "closed", "query": "q3"}
+                ack = writer.ingest(rows(20, seed=1))
+                wait_for_seq(reader, ack["now_seq"])
+
+                answer = writer.snapshot(query="q2")
+                assert reader.snapshot(query="q2") == answer
+                assert not knows(reader, "q3")
+                for call in (lambda: reader.register("similar", 4),
+                             lambda: reader.unregister("q2")):
+                    with pytest.raises(ServeRequestError) as err:
+                        call()
+                    assert err.value.code == "not_primary"
+                assert tailer.error is None
+
+                primary.stop()
+                with connect(standby.port, admin=True) as admin:
+                    admin.promote()
+                assert reader.snapshot(query="q2") == answer
+                assert reader.register("similar", 4) == "q4"
+                for client in (writer, reader, watcher):
+                    client.close()
+
+
+def crafted_tailer():
+    """A tailer over an open registry holding ``q1`` at seq 10."""
+    session = ServerMonitor(32, 2, seed=5)
+    session.register("closest", 3)
+    session.ingest(rows(10))
+    left, right = socket.socketpair()
+    right.close()
+    return StandbyTailer(NamespaceRegistry.single(session), left), session
+
+
+Q1 = {"handle": "q1", "scoring": "closest", "k": 3, "n": 32}
+Q2 = {"handle": "q2", "scoring": "furthest", "k": 2, "n": 32}
+
+
+def query_event(kind, spec, now_seq=10, next_handle=3, **extra):
+    return {"event": kind, "namespace": "default", "epoch": 0,
+            "now_seq": now_seq, "query": spec, "next_handle": next_handle,
+            **extra}
+
+
+def rows_event(first_seq, count, **extra):
+    return {"event": "rows", "namespace": "default", "epoch": 0,
+            "first_seq": first_seq, "now_seq": first_seq + count - 1,
+            "rows": rows(count, seed=first_seq), "timestamps": None,
+            **extra}
+
+
+#: crafted feed event -> (error substring or None, handles afterwards)
+CRAFTED = {
+    "register_held_same_spec": (
+        query_event("register", Q1, next_handle=2), None, ["q1"]),
+    "register_held_other_spec": (
+        query_event("register", dict(Q1, k=5), next_handle=2),
+        "handle mismatch", ["q1"]),
+    "register_new": (query_event("register", Q2), None, ["q1", "q2"]),
+    "register_dropped_before_ship": (
+        query_event("register", Q2, now_seq=4, next_handle=1), None,
+        ["q1"]),
+    "register_at_other_seq": (
+        query_event("register", Q2, now_seq=7), "replication desync",
+        ["q1"]),
+    "unregister_not_held": (query_event("unregister", Q2), None, ["q1"]),
+    "unregister_held_other_spec": (
+        query_event("unregister", dict(Q1, scoring="similar")),
+        "handle mismatch", ["q1"]),
+    "register_malformed": (
+        query_event("register", {"k": 2}), "malformed register", ["q1"]),
+    "register_other_epoch": (
+        query_event("register", Q2, epoch=3), "epoch mismatch", ["q1"]),
+    "rows_overlap": (rows_event(8, 3), None, ["q1"]),
+    "rows_gap": (rows_event(12, 2), "replication gap", ["q1"]),
+    "unknown_namespace_mid_stream": (
+        rows_event(5, 2, namespace="ghost"), "mid-stream", ["q1"]),
+    "unknown_namespace_on_open_registry": (
+        query_event("register", Q2, now_seq=0, namespace="ghost"),
+        "cannot create namespace", ["q1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED))
+def test_crafted_feed_events(case):
+    event, error, handles = CRAFTED[case]
+    tailer, session = crafted_tailer()
+    try:
+        if error is None:
+            asyncio.run(tailer._apply(event))
+        else:
+            with pytest.raises(ReplicationError, match=error):
+                asyncio.run(tailer._apply(event))
+    finally:
+        tailer.stop()  # closes the feed socket
+    assert [record.handle_id for record in session.queries()] == handles
+    assert session.monitor.manager.now_seq == 10

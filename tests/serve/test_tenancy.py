@@ -62,7 +62,7 @@ def make_registry(beta_quotas=None, window=64, audit=False):
 
 @pytest.fixture()
 def tenant_server():
-    with BackgroundServer(None, tenants=make_registry()) as background:
+    with BackgroundServer(make_registry()) as background:
         yield background
 
 
@@ -355,7 +355,7 @@ class TestWireAuth:
     def test_revoked_tenant_cannot_auth(self):
         registry = make_registry()
         registry.specs["beta"].revoked = True
-        with BackgroundServer(None, tenants=registry) as background:
+        with BackgroundServer(registry) as background:
             with ServeClient(port=background.port) as client:
                 with pytest.raises(ServeRequestError) as err:
                     client.auth("beta", BETA_TOKEN)
@@ -407,7 +407,7 @@ class TestWireQuotas:
         registry = make_registry(
             TenantQuotas(ingest_rows_per_sec=1.0, burst_rows=4.0)
         )
-        with BackgroundServer(None, tenants=registry) as background:
+        with BackgroundServer(registry) as background:
             with ServeClient(port=background.port) as client:
                 client.auth("beta", BETA_TOKEN)
                 with pytest.raises(ServeRequestError) as err:
@@ -425,7 +425,7 @@ class TestWireQuotas:
         registry = make_registry(
             TenantQuotas(ingest_rows_per_sec=1.0, burst_rows=1.0)
         )
-        with BackgroundServer(None, tenants=registry) as background:
+        with BackgroundServer(registry) as background:
             with ServeClient(port=background.port) as client:
                 client.auth("beta", BETA_TOKEN)
                 client.ingest([[0.0, 0.0]])  # drains the burst
@@ -436,7 +436,7 @@ class TestWireQuotas:
 
     def test_max_queries(self):
         registry = make_registry(TenantQuotas(max_queries=1))
-        with BackgroundServer(None, tenants=registry) as background:
+        with BackgroundServer(registry) as background:
             with ServeClient(port=background.port) as client:
                 client.auth("beta", BETA_TOKEN)
                 client.register("closest", 2)
@@ -450,7 +450,7 @@ class TestWireQuotas:
 
     def test_max_subscribers_counts_across_connections(self):
         registry = make_registry(TenantQuotas(max_subscribers=1))
-        with BackgroundServer(None, tenants=registry) as background:
+        with BackgroundServer(registry) as background:
             first = ServeClient(port=background.port)
             second = ServeClient(port=background.port)
             try:
@@ -470,7 +470,7 @@ class TestWireQuotas:
 
     def test_quotas_do_not_leak_across_namespaces(self):
         registry = make_registry(TenantQuotas(max_queries=1))
-        with BackgroundServer(None, tenants=registry) as background:
+        with BackgroundServer(registry) as background:
             with ServeClient(port=background.port) as alpha, \
                     ServeClient(port=background.port) as beta:
                 alpha.auth("alpha", ALPHA_TOKEN)
@@ -534,7 +534,7 @@ class TestIsolation:
 class TestNamespaceCheckpoints:
     def test_scope_all_writes_and_restores_every_namespace(self, tmp_path):
         registry = make_registry()
-        with BackgroundServer(None, tenants=registry,
+        with BackgroundServer(registry,
                               checkpoint_dir=str(tmp_path)) as background:
             with ServeClient(port=background.port) as alpha, \
                     ServeClient(port=background.port) as beta, \
@@ -556,7 +556,7 @@ class TestNamespaceCheckpoints:
 
     def test_tenant_checkpoint_path_must_be_bare(self, tmp_path):
         registry = make_registry()
-        with BackgroundServer(None, tenants=registry,
+        with BackgroundServer(registry,
                               checkpoint_dir=str(tmp_path)) as background:
             with ServeClient(port=background.port) as client:
                 client.auth("alpha", ALPHA_TOKEN)
@@ -570,7 +570,7 @@ class TestNamespaceCheckpoints:
 
     def test_directory_restore_rejects_misrouted_document(self, tmp_path):
         registry = make_registry()
-        with BackgroundServer(None, tenants=registry,
+        with BackgroundServer(registry,
                               checkpoint_dir=str(tmp_path)) as background:
             with ServeClient(port=background.port) as alpha:
                 alpha.auth("alpha", ALPHA_TOKEN)
@@ -590,7 +590,7 @@ class TestNamespaceCheckpoints:
 class TestMultiTenantStandby:
     def test_bootstrap_tail_promote(self):
         primary_registry = make_registry()
-        with BackgroundServer(None, tenants=primary_registry) as primary:
+        with BackgroundServer(primary_registry) as primary:
             alpha = ServeClient(port=primary.port)
             beta = ServeClient(port=primary.port)
             try:
@@ -607,7 +607,7 @@ class TestMultiTenantStandby:
                 assert sorted(ns.name for ns in
                               standby_registry.namespaces()) \
                     == ["alpha", "beta"]
-                with BackgroundServer(None, tenants=standby_registry,
+                with BackgroundServer(standby_registry,
                                       role="standby",
                                       standby=tailer) as standby:
                     alpha.ingest([[0.3, 0.7]])
@@ -641,7 +641,7 @@ class TestMultiTenantStandby:
                 beta.close()
 
     def test_multi_tenant_primary_requires_registry(self):
-        with BackgroundServer(None, tenants=make_registry()) as primary:
+        with BackgroundServer(make_registry()) as primary:
             with pytest.raises(ServeError, match="multi-tenant"):
                 connect_standby("127.0.0.1", primary.port)
 
@@ -668,7 +668,7 @@ class TestHotReload:
             lambda name, spec: ServerMonitor(16, 2),
             admin_token=ADMIN_TOKEN, path=path,
         )
-        with BackgroundServer(None, tenants=registry) as background:
+        with BackgroundServer(registry) as background:
             beta = ServeClient(port=background.port)
             try:
                 beta.auth("beta", BETA_TOKEN)
@@ -704,7 +704,7 @@ class TestHotReload:
             lambda name, spec: ServerMonitor(16, 2),
             admin_token=ADMIN_TOKEN, path=path,
         )
-        with BackgroundServer(None, tenants=registry) as background:
+        with BackgroundServer(registry) as background:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write("{not json")
             stale = asyncio.run_coroutine_threadsafe(

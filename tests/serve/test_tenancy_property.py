@@ -73,7 +73,7 @@ def test_multi_tenant_equals_independent_servers(program):
         {name: TenantSpec(name, TOKENS[name]) for name in NAMES},
         lambda name, spec: ServerMonitor(WINDOW, COLUMNS, audit=True),
     )
-    with BackgroundServer(None, tenants=registry) as background:
+    with BackgroundServer(registry) as background:
         clients = {}
         try:
             for name in NAMES:
