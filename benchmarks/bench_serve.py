@@ -1,11 +1,11 @@
-"""Serving-layer round-trip benchmark (docs/serving.md).
+"""Serving-layer benchmark (docs/serving.md).
 
 Thin wrapper around :mod:`repro.bench.serve` — the same suite the
-``repro bench serve`` CLI runs.  Boots a real loopback server
+``repro bench serve`` CLI runs.  Boots real loopback servers
 (:class:`~repro.serve.server.BackgroundServer`) and measures, through a
-:class:`~repro.serve.client.ServeClient`, acknowledged ingest
-throughput, subscribe delta latency (p50/p99 from the ingest request to
-the tick's delta event) and checkpoint save/restore timing; writes
+:class:`~repro.serve.client.ServeClient`, what perfbench cannot:
+structural versus replay checkpoint restore, standby bootstrap,
+catch-up and promote, and multi-tenant fairness; writes
 ``BENCH_serve.json``.
 
 Scaled by ``REPRO_BENCH_SCALE``; CI's serve-smoke job runs a reduced
@@ -15,8 +15,6 @@ pass and uploads the JSON as an artifact.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 
 from repro.bench.serve import (
     DEFAULT_OUTPUT,
@@ -25,16 +23,12 @@ from repro.bench.serve import (
 )
 
 
-def test_serve_roundtrip_delta_replay_consistent():
-    """Smoke gate: deltas replayed client-side must reproduce the
-    server's polled answer, and every ingest must be acknowledged."""
-    with tempfile.TemporaryDirectory() as tmp:
-        result = run_serve_bench(
-            window=64, ingest_rows=120, delta_ticks=40,
-            checkpoint_path=os.path.join(tmp, "ck.json"),
-        )
-    assert result["deltas"]["replay_consistent"], result["deltas"]
-    assert result["ingest"]["rows"] == result["params"]["ingest_rows"]
+def test_serve_bench_flags_hold():
+    """Smoke gate: both restores answer every query identically, the
+    standby catches up, and the checkpoint holds at most a window."""
+    result = run_serve_bench(window=32)
+    assert result["checkpoint"]["answers_identical"], result["checkpoint"]
+    assert result["standby"]["caught_up"], result["standby"]
     assert result["checkpoint"]["objects"] <= result["params"]["window"]
 
 

@@ -437,12 +437,12 @@ def build_bench_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, metavar="OUT.json",
                         help="result file (default: the suite's "
                         "BENCH_*.json in the working directory)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repetitions per workload, best-of "
-                        "(default 3)")
+    parser.add_argument("--repeats", type=int, default=None,
+                        help="throughput suite only: timing repetitions "
+                        "per workload, best-of (default 3)")
     parser.add_argument("--ticks", type=int, default=None,
-                        help="measured stream length (default: "
-                        "4x the harness TICKS)")
+                        help="throughput suite only: measured stream "
+                        "length (default: 4x the harness TICKS)")
     parser.add_argument("--window", type=int, default=None,
                         help="window size N (default: harness N_DEFAULT)")
     parser.add_argument("--k", type=int, default=None,
@@ -455,9 +455,10 @@ def run_bench(argv: Sequence[str],
     """``python -m repro bench <suite>`` — run + write BENCH json."""
     stdout = stdout if stdout is not None else sys.stdout
     args = build_bench_parser().parse_args(argv)
-    if args.repeats < 1:
-        raise SystemExit("--repeats >= 1 required")
     if args.suite == "serve":
+        if args.repeats is not None or args.ticks is not None:
+            raise SystemExit("repro bench: --repeats and --ticks apply "
+                             "to the throughput suite only")
         from repro.bench.serve import (
             DEFAULT_OUTPUT as SERVE_OUTPUT,
             run_serve_bench,
@@ -468,48 +469,45 @@ def run_bench(argv: Sequence[str],
         path = write_serve_json(
             result, args.out if args.out is not None else SERVE_OUTPUT
         )
-        ingest = result["ingest"]
-        deltas = result["deltas"]
+        checkpoint = result["checkpoint"]
+        answers = ("identical" if checkpoint["answers_identical"]
+                   else "DIFFER")
         print(
-            f"serve: ingest {ingest['rows_per_sec']:.0f} rows/sec "
-            f"(batch {ingest['batch']}), delta latency p50 "
-            f"{deltas['latency_us']['p50']:.0f} us / p99 "
-            f"{deltas['latency_us']['p99']:.0f} us over "
-            f"{deltas['delta_events']} events, replay "
-            f"{'consistent' if deltas['replay_consistent'] else 'BROKEN'}, "
-            f"checkpoint save "
-            f"{result['checkpoint']['save_seconds'] * 1e3:.1f} ms / restore "
-            f"{result['checkpoint']['restore_seconds'] * 1e3:.1f} ms replay "
-            f"/ {result['checkpoint']['restore_seconds_structural'] * 1e3:.1f}"
-            f" ms structural "
-            f"({result['checkpoint']['structural_speedup']:.0f}x)",
+            f"checkpoint: {checkpoint['objects']} objects, save "
+            f"{checkpoint['save_seconds'] * 1e3:.1f} ms, restore "
+            f"{checkpoint['restore_seconds'] * 1e3:.1f} ms replay / "
+            f"{checkpoint['restore_seconds_structural'] * 1e3:.1f} ms "
+            f"structural ({checkpoint['structural_speedup']:.0f}x), "
+            f"answers {answers}",
             file=stdout,
         )
         standby = result["standby"]
+        caught_up = "caught up" if standby["caught_up"] else "NOT CAUGHT UP"
         print(
-            f"standby: bootstrap {standby['bootstrap_seconds'] * 1e3:.1f} ms "
-            f"({standby['bootstrap_objects']} objects), apply lag p50 "
-            f"{standby['apply_lag_us']['p50']:.0f} us / p99 "
-            f"{standby['apply_lag_us']['p99']:.0f} us over "
-            f"{standby['rows']} replicated rows, promote "
+            f"standby: bootstrap {standby['bootstrap_seconds'] * 1e3:.1f} "
+            f"ms ({standby['bootstrap_objects']} objects), "
+            f"{standby['rows']} rows {caught_up}, promote "
             f"{standby['promote_seconds'] * 1e3:.1f} ms to epoch "
-            f"{standby['promoted_epoch']}"
-            + ("" if standby["caught_up"] else " [NOT CAUGHT UP]"),
+            f"{standby['promoted_epoch']}",
             file=stdout,
         )
         tenants = result["multi_tenant"]
         print(
-            f"multi-tenant: {tenants['namespaces']} namespaces aggregate "
-            f"{tenants['aggregate_rows_per_sec']:.0f} rows/sec "
-            f"({tenants['single_tenant_fraction']:.2f}x single-tenant), "
-            f"delta p99 median {tenants['delta_p99_us']['median']:.0f} us / "
-            f"worst {tenants['delta_p99_us']['max']:.0f} us across tenants",
+            f"multi-tenant: {tenants['namespaces']} namespaces "
+            f"{tenants['aggregate_rows_per_sec']:.0f} rows/sec, one "
+            f"{tenants['single_tenant_rows_per_sec']:.0f} rows/sec, "
+            f"fraction {tenants['single_tenant_fraction']:.2f} (median "
+            f"of {tenants['rounds']} paired rounds)",
             file=stdout,
         )
         print(f"written to {path}", file=stdout)
-        ok = (deltas["replay_consistent"] and standby["caught_up"]
+        ok = (checkpoint["structural_speedup"] > 1
+              and checkpoint["answers_identical"] and standby["caught_up"]
               and tenants["single_tenant_fraction"] >= 0.8)
         return 0 if ok else 1
+    repeats = 3 if args.repeats is None else args.repeats
+    if repeats < 1:
+        raise SystemExit("--repeats >= 1 required")
     from repro.bench.throughput import (
         DEFAULT_OUTPUT,
         run_throughput,
@@ -517,7 +515,7 @@ def run_bench(argv: Sequence[str],
     )
 
     result = run_throughput(
-        repeats=args.repeats, k=args.k, window=args.window, ticks=args.ticks
+        repeats=repeats, k=args.k, window=args.window, ticks=args.ticks
     )
     path = write_throughput_json(
         result, args.out if args.out is not None else DEFAULT_OUTPUT
@@ -801,14 +799,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         "serving (with --tenants: a directory of "
                         "per-namespace <ns>.ckpt files)")
     parser.add_argument(
-        "--restore-mode", choices=["structural", "replay"],
-        default="structural",
-        help="how --restore rebuilds engine state: 'structural' "
-        "bulk-loads the serialized skybands (fast), 'replay' re-ingests "
-        "the window through the engine (slow oracle) (default "
-        "structural)",
-    )
-    parser.add_argument(
         "--standby", default=None, metavar="HOST:PORT",
         help="run as a warm standby of the primary at HOST:PORT: "
         "bootstrap from a shipped checkpoint, tail its replication "
@@ -918,19 +908,18 @@ def run_serve(argv: Sequence[str],
                     f"--standby needs HOST:PORT, got {args.standby!r}"
                 )
             registry, tailer = connect_standby(
-                host, int(port_text), mode=args.restore_mode,
-                audit=args.audit, delta_log=args.standby_delta_log,
-                registry=registry,
+                host, int(port_text), audit=args.audit,
+                delta_log=args.standby_delta_log, registry=registry,
             )
         elif args.restore is not None and not registry.open:
             restored_sessions = restore_namespace_checkpoints(
-                args.restore, mode=args.restore_mode, audit=args.audit,
+                args.restore, audit=args.audit,
             )
             for name, restored in restored_sessions.items():
                 registry.install(name, restored)
         elif args.restore is not None:
             registry.install(DEFAULT_NAMESPACE, restore_server_monitor(
-                args.restore, mode=args.restore_mode, audit=args.audit,
+                args.restore, audit=args.audit,
             ))
         elif registry.open:
             registry.install(DEFAULT_NAMESPACE, ServerMonitor(

@@ -10,12 +10,12 @@ The paper's whole argument is quantitative: the K-skyband stays near the
 * :mod:`repro.obs.recorder` — the instrumentation fan-in: a no-op
   :class:`NullRecorder` (the default everywhere, so disabled overhead is
   one attribute check per instrumented block) and the live
-  :class:`MetricsRecorder`, plus the :class:`Timer` / :func:`timed`
-  instrument for ad-hoc block timing;
+  :class:`MetricsRecorder`;
 * :mod:`repro.obs.trace` — structured per-tick :class:`TickEvent`
   records with phase timings (window eviction, new-pair generation,
-  skyband insert/expire, staircase repair, PST rebuilds), and the
-  skyband-dynamics :class:`TraceRecorder`;
+  skyband insert/expire, staircase repair, PST rebuilds) and the
+  skyband dynamics (pairs added, removed and expired; skyband and
+  staircase sizes);
 * :mod:`repro.obs.cost_model` — the machine-independent operation
   :class:`Counters`;
 * :mod:`repro.obs.export` — exporters: Prometheus text exposition,
@@ -62,13 +62,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.httpd import PROMETHEUS_CONTENT_TYPE, ObsHTTPServer
-from repro.obs.recorder import (
-    NULL_RECORDER,
-    MetricsRecorder,
-    NullRecorder,
-    Timer,
-    timed,
-)
+from repro.obs.recorder import NULL_RECORDER, MetricsRecorder, NullRecorder
 from repro.obs.spans import (
     NULL_SPANS,
     NullSpanRecorder,
@@ -77,7 +71,7 @@ from repro.obs.spans import (
     new_span_id,
     new_trace_id,
 )
-from repro.obs.trace import PHASES, TickEvent, TraceRecorder
+from repro.obs.trace import PHASES, TickEvent
 
 __all__ = [
     "Counter",
@@ -101,12 +95,9 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "TickEvent",
-    "Timer",
-    "TraceRecorder",
     "new_span_id",
     "new_trace_id",
     "registry_to_json",
-    "timed",
     "to_prometheus",
     "write_metrics_json",
     "write_tick_csv",

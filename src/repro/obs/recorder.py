@@ -1,4 +1,4 @@
-"""Instrumentation fan-in: the null and live recorders, and timers.
+"""Instrumentation fan-in: the null and live recorders.
 
 Every instrumented component (stream manager, skip lists, PST, skyband
 maintainers, the monitor) holds a *recorder*.  The default is the shared
@@ -18,9 +18,7 @@ Hook protocol (all methods exist on both recorders):
 * structure events — ``on_window``, ``on_candidates``,
   ``on_skyband_delta``, ``on_pst_insert`` / ``on_pst_delete`` /
   ``on_pst_rebuild``, ``on_skiplist_traversal``, ``on_sweep``;
-* query answering — ``observe_results(seconds)``;
-* ad-hoc blocks — ``observe(name, seconds)``, usually via
-  :func:`timed` / :class:`Timer`.
+* query answering — ``observe_results(seconds)``.
 
 Metric names and buckets are catalogued in ``docs/observability.md``.
 """
@@ -28,22 +26,15 @@ Metric names and buckets are catalogued in ``docs/observability.md``.
 from __future__ import annotations
 
 from collections import deque
-from time import perf_counter
 from typing import Optional, Union
 
-from repro.obs.metrics import (
-    DEFAULT_SECONDS_BUCKETS,
-    DEFAULT_SIZE_BUCKETS,
-    MetricsRegistry,
-)
+from repro.obs.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from repro.obs.trace import TickEvent
 
 __all__ = [
     "MetricsRecorder",
     "NULL_RECORDER",
     "NullRecorder",
-    "Timer",
-    "timed",
 ]
 
 
@@ -95,9 +86,6 @@ class NullRecorder:
         pass
 
     def on_apply_path(self, path: str) -> None:
-        pass
-
-    def observe(self, name: str, seconds: float) -> None:
         pass
 
     def observe_results(self, seconds: float) -> None:
@@ -232,7 +220,6 @@ class MetricsRecorder:
             labelnames=("phase",),
         )
         self._phase_hists: dict = {}
-        self._adhoc: dict = {}
         # -- per-tick accumulators --
         self._tick_phases: dict[str, float] = {}
         self._tick_counts = [0, 0, 0, 0, 0, 0, 0]
@@ -345,65 +332,5 @@ class MetricsRecorder:
             )
         counter.inc()
 
-    def observe(self, name: str, seconds: float) -> None:
-        hist = self._adhoc.get(name)
-        if hist is None:
-            hist = self._adhoc[name] = self.registry.histogram(
-                name, buckets=DEFAULT_SECONDS_BUCKETS
-            )
-        hist.observe(seconds)
-
     def observe_results(self, seconds: float) -> None:
         self._results_seconds.observe(seconds)
-
-
-class Timer:
-    """Context manager timing a block into a recorder histogram.
-
-    ``elapsed`` holds the measured seconds after exit.  Usually built via
-    :func:`timed`, which short-circuits to a shared no-op when the
-    recorder is disabled.
-    """
-
-    __slots__ = ("recorder", "name", "elapsed", "_start")
-
-    def __init__(self, recorder, name: str) -> None:
-        self.recorder = recorder
-        self.name = name
-        self.elapsed = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.elapsed = perf_counter() - self._start
-        self.recorder.observe(self.name, self.elapsed)
-        return False
-
-
-class _NullTimer:
-    """Shared no-op stand-in returned by :func:`timed` when disabled."""
-
-    __slots__ = ()
-
-    elapsed = 0.0
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_TIMER = _NullTimer()
-
-
-def timed(recorder, name: str):
-    """``with timed(recorder, "repro_foo_seconds"): ...`` — observes the
-    block's wall time into histogram ``name`` when the recorder is
-    enabled; a shared no-op context manager otherwise."""
-    if recorder.enabled:
-        return Timer(recorder, name)
-    return _NULL_TIMER

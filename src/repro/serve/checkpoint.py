@@ -600,7 +600,6 @@ def restore_server_monitor(
 def restore_namespace_checkpoints(
     directory: str,
     *,
-    mode: str = "structural",
     audit: Optional[bool] = None,
     recorder=None,
 ) -> dict[str, ServerMonitor]:
@@ -626,8 +625,7 @@ def restore_namespace_checkpoints(
             continue
         name = entry[:-len(".ckpt")]
         session = restore_server_monitor(
-            os.path.join(directory, entry),
-            mode=mode, audit=audit, recorder=recorder,
+            os.path.join(directory, entry), audit=audit, recorder=recorder,
         )
         if session.namespace != name:
             raise CheckpointError(

@@ -97,6 +97,9 @@ BACKPRESSURE_POLICIES = ("block", "drop")
 #: with ``not_primary`` until a ``promote`` op flips its role.
 ROLES = ("primary", "standby")
 
+#: per-ingest tick summaries the ``/ticks`` stream keeps
+TICKS_CAPACITY = 256
+
 _CLOSE = object()  # event-queue sentinel terminating a writer task
 
 
@@ -153,7 +156,6 @@ class ServeServer:
         flight: Optional[FlightRecorder] = None,
         obs_port: Optional[int] = None,
         obs_host: str = "127.0.0.1",
-        ticks_capacity: int = 256,
         role: str = "primary",
         standby=None,
         max_peer_labels: int = 64,
@@ -221,7 +223,7 @@ class ServeServer:
         self.obs_host = obs_host
         self.obs: Optional[ObsHTTPServer] = None
         #: recent per-ingest tick summaries (the ``/ticks`` stream)
-        self.ticks = RingLog(ticks_capacity)
+        self.ticks = RingLog(TICKS_CAPACITY)
         self._last_tick_at: Optional[float] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set[_Connection] = set()

@@ -86,7 +86,7 @@ class StandbyTailer:
         self.delta_log = delta_log
         self.primary = primary
         #: rows behind the primary at the last received event (0 when
-        #: fully caught up; the bench reports its maximum as apply lag)
+        #: fully caught up; the ``epoch`` and ``stats`` replies carry it)
         self.lag_rows = 0
         self.events_applied = 0
         self.rows_applied = 0
@@ -417,7 +417,6 @@ def connect_standby(
     host: str,
     port: int,
     *,
-    mode: str = "structural",
     audit: Optional[bool] = None,
     recorder=None,
     delta_log: Optional[str] = None,
@@ -483,7 +482,7 @@ def connect_standby(
                     f"checkpoint state document"
                 )
             session = restore_server_monitor(
-                state, mode=mode, audit=audit, recorder=recorder,
+                state, audit=audit, recorder=recorder,
             )
             if session.namespace != name:
                 raise ReplicationError(

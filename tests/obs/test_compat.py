@@ -1,20 +1,15 @@
-"""The absorbed analysis layer: the operation counters and the per-tick
-trace recorder live in ``repro.obs``, and on a real run the
-machine-independent counters must agree with the wall-clock registry
-wherever they count the same thing.
+"""The absorbed analysis layer: the operation counters live in
+``repro.obs``, and on a real run the machine-independent counters must
+agree with the wall-clock registry wherever they count the same thing.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import random
 
-from repro.core.maintenance import SCaseMaintainer
 from repro.core.monitor import TopKPairsMonitor
-from repro.obs import Counters, MetricsRecorder, TraceRecorder
+from repro.obs import Counters, MetricsRecorder
 from repro.scoring.library import k_closest_pairs
-from repro.stream.manager import StreamManager
 
 
 class TestShimImportPaths:
@@ -27,44 +22,6 @@ class TestShimImportPaths:
 
         assert repro.MetricsRecorder is obs.MetricsRecorder
         assert obs.Counters is Counters
-        assert obs.TraceRecorder is TraceRecorder
-
-
-class TestTraceRecorderCsv:
-    _HEADER = [
-        "tick", "skyband_size", "staircase_size", "added", "removed",
-        "expired", "score_evaluations", "pairs_considered",
-        "candidate_pairs",
-    ]
-
-    def _traced_run(self, steps=60):
-        counters = Counters()
-        manager = StreamManager(20, 2)
-        maintainer = SCaseMaintainer(k_closest_pairs(2), 3,
-                                     counters=counters)
-        trace = TraceRecorder(counters)
-        rng = random.Random(17)
-        for _ in range(steps):
-            event = manager.append((rng.random(), rng.random()))
-            delta = maintainer.on_tick(manager, event.new, event.expired)
-            trace.observe(maintainer, delta)
-        return trace, steps
-
-    def test_to_csv_schema_and_rows(self):
-        trace, steps = self._traced_run()
-        buffer = io.StringIO()
-        trace.to_csv(buffer)
-        rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))
-        assert list(rows[0].keys()) == self._HEADER
-        assert len(rows) == steps == len(trace)
-        assert [int(r["tick"]) for r in rows] == list(range(1, steps + 1))
-
-    def test_counter_deltas_sum_back_to_totals(self):
-        trace, _ = self._traced_run()
-        totals = trace.counters.snapshot()
-        for field in ("score_evaluations", "pairs_considered",
-                      "candidate_pairs"):
-            assert sum(trace.series(field)) == totals[field]
 
 
 class TestCountersAgreeWithRegistry:

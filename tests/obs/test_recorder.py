@@ -10,8 +10,6 @@ from repro.obs import (
     MetricsRegistry,
     NullRecorder,
     TickEvent,
-    Timer,
-    timed,
 )
 
 
@@ -37,7 +35,6 @@ class TestNullRecorder:
         obs.on_pst_rebuild(10, 0.01, partial=True)
         obs.on_skiplist_traversal(5)
         obs.on_sweep(10, 4)
-        obs.observe("repro_x_seconds", 0.5)
         obs.observe_results(0.5)
         obs.end_tick(0.5, now_seq=1, skyband_size=2)
 
@@ -132,26 +129,3 @@ class TestMetricsRecorder:
         recorder.phase("generate", 0.002)
         family = recorder.registry.get("repro_phase_seconds")
         assert family.labels("generate").count == 2
-
-
-class TestTimers:
-    def test_timer_observes_into_recorder(self):
-        recorder = MetricsRecorder()
-        with Timer(recorder, "repro_block_seconds") as timer:
-            pass
-        assert timer.elapsed >= 0.0
-        assert recorder.registry.get("repro_block_seconds").solo.count == 1
-
-    def test_timed_disabled_returns_shared_noop(self):
-        timer_a = timed(NULL_RECORDER, "repro_block_seconds")
-        timer_b = timed(NULL_RECORDER, "repro_block_seconds")
-        assert timer_a is timer_b  # shared no-op, no allocation
-        with timer_a:
-            pass
-        assert timer_a.elapsed == 0.0
-
-    def test_timed_enabled_returns_live_timer(self):
-        recorder = MetricsRecorder()
-        with timed(recorder, "repro_block_seconds"):
-            pass
-        assert recorder.registry.get("repro_block_seconds").solo.count == 1

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -307,3 +310,17 @@ class TestServeParsers:
 
         args = build_bench_parser().parse_args(["serve"])
         assert args.suite == "serve"
+
+    @pytest.mark.parametrize("flag", [["--ticks", "10"], ["--repeats", "2"]])
+    def test_bench_serve_rejects_throughput_flags(self, flag, tmp_path):
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "bench", "serve", *flag],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        )
+        assert result.returncode != 0
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("repro bench: "), lines
+        assert list(tmp_path.iterdir()) == []
