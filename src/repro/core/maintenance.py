@@ -364,20 +364,42 @@ class SkybandMaintainer(ABC):
     def bootstrap(self, manager: StreamManager) -> None:
         """(Re)build the skyband from scratch over the current window.
 
-        Used when a query raises the group's K: all ``O(N^2)`` window
-        pairs are enumerated once and fed to Algorithm 4.
+        Used when a query creates the group or raises its K.  Every
+        window pair is scored once, in ``O(N + K)`` memory: a pair's
+        dominators all have the same or a younger older member, so one
+        pass walks the older member from the newest object to the
+        oldest, keeps the K smallest score keys of each such group, and
+        admits a key iff its rank in its group plus the number of
+        smaller keys among the K smallest of all younger groups is below
+        K.  Only members become :class:`Pair` objects; re-sweeping them
+        through Algorithm 4 yields the staircase a sweep over every
+        window pair would.
         """
         objects = manager.objects()
         keep = self.pair_filter
-        pairs = [
-            make_pair(objects[i], objects[j], self.scoring_function,
-                      self.counters)
-            for i in range(len(objects))
-            for j in range(i + 1, len(objects))
-            if keep is None or keep(objects[i], objects[j])
-        ]
-        pairs.sort(key=_score_key)
-        skyband, staircase = update_skyband_and_staircase(pairs, self.K)
+        score = self.scoring_function.score
+        counters = self.counters
+        K = self.K
+        best: list[tuple] = []  # sorted K smallest keys of younger groups
+        members: list[Pair] = []
+        for i in range(len(objects) - 2, -1, -1):
+            older = objects[i]
+            seq = older.seq
+            scored = [
+                (pair_score_key(score(older, newer), seq, newer.seq), newer)
+                for newer in objects[i + 1:]
+                if keep is None or keep(older, newer)
+            ]
+            if counters is not None:
+                counters.score_evaluations += len(scored)
+            group = nsmallest(K, scored)
+            for rank, (key, newer) in enumerate(group):
+                if rank + bisect_left(best, key) >= K:
+                    break  # so is every larger key of this group
+                members.append(Pair(older, newer, key[0]))
+            best = sorted(best + [key for key, _ in group])[:K]
+        members.sort(key=_score_key)
+        skyband, staircase = update_skyband_and_staircase(members, K)
         self._install_state(skyband, staircase)
 
     def load_state(self, skyband: list[Pair], staircase: KStaircase) -> None:
@@ -385,7 +407,7 @@ class SkybandMaintainer(ABC):
 
         The checkpoint structural-restore path deserializes the skyband
         (score-ascending) and its staircase and installs them directly,
-        skipping :meth:`bootstrap`'s ``O(N^2)`` pair enumeration — the
+        skipping :meth:`bootstrap`'s ``O(N^2)`` pair scoring — the
         paper's point that the K-skyband is the *complete* maintainer
         state.  The caller is responsible for having validated the pairs
         against the live window (``restore_server_monitor`` re-sweeps

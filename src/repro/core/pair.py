@@ -53,7 +53,11 @@ class Pair:
     smaller sequence number (``a.id < b.id`` in the paper's SQL example).
     """
 
-    __slots__ = ("older", "newer", "score", "score_key", "age_key", "uid")
+    #: ``wire`` holds the pair's compact wire JSON once the serving layer
+    #: first encodes it (:mod:`repro.serve.protocol`); it stays unset
+    #: until then, so building a pair costs nothing extra.
+    __slots__ = ("older", "newer", "score", "score_key", "age_key", "uid",
+                 "wire")
 
     def __init__(self, a: StreamObject, b: StreamObject, score: float) -> None:
         if a.seq == b.seq:

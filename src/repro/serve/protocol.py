@@ -41,7 +41,10 @@ validates the field; untraced frames (the default) pay nothing.
 
 Pairs cross the wire via :func:`pair_to_wire` — a deterministic dict
 (sequence numbers, score, attribute values) so two servers holding the
-same window produce byte-identical serializations.
+same window produce byte-identical serializations.  Frames carry answer
+pairs as lists of :class:`~repro.core.pair.Pair`; :func:`encode_frame`
+JSON-encodes each pair once, on first use, and splices the cached text
+into every later frame that carries it.
 """
 
 from __future__ import annotations
@@ -114,9 +117,38 @@ ERROR_CODES = (
 )
 
 
+#: ``json.dumps(obj, separators=(",", ":"))`` without building an
+#: encoder per call
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_frame(payload: dict) -> bytes:
-    """One wire frame: compact JSON plus the terminating newline."""
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+    """One wire frame: compact JSON plus the terminating newline.
+
+    A field whose value is a non-empty list of :class:`Pair` is spliced
+    from each pair's cached JSON (:func:`_pair_json`), in key order, so
+    the bytes equal ``json.dumps`` of the same frame with every pair
+    replaced by its :func:`pair_to_wire` dict — without encoding any
+    pair's floats twice.
+    """
+    parts: list[str] = []
+    plain: dict = {}
+    for key, value in payload.items():
+        if isinstance(value, list) and value \
+                and isinstance(value[0], Pair):
+            if plain:
+                parts.append(_encode(plain)[1:-1])
+                plain = {}
+            parts.append(
+                f"{_encode(key)}:[{','.join(map(_pair_json, value))}]"
+            )
+        else:
+            plain[key] = value
+    if not parts:
+        return _encode(payload).encode("utf-8") + b"\n"
+    if plain:
+        parts.append(_encode(plain)[1:-1])
+    return ("{" + ",".join(parts) + "}\n").encode("utf-8")
 
 
 def decode_frame(line: bytes) -> dict:
@@ -214,3 +246,14 @@ def pair_to_wire(pair: Pair) -> dict:
         "older_values": list(pair.older.values),
         "newer_values": list(pair.newer.values),
     }
+
+
+def _pair_json(pair: Pair) -> str:
+    """``pair_to_wire(pair)`` as compact JSON, encoded on first use and
+    kept on the pair: its seqs, score and values never change, so every
+    later snapshot, delta and journal line reuses the same text."""
+    try:
+        return pair.wire
+    except AttributeError:
+        text = pair.wire = _encode(pair_to_wire(pair))
+        return text

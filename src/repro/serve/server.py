@@ -75,9 +75,12 @@ from repro.serve.protocol import (
     encode_frame,
     error_frame,
     ok_frame,
-    pair_to_wire,
     trace_of,
 )
+# Frames carry ``Pair`` lists and ``encode_frame`` serializes them, so
+# nothing here calls ``pair_to_wire``; the name stays bound because
+# perfbench/launch.py wraps this module's copy when it traces a server.
+from repro.serve.protocol import pair_to_wire  # noqa: F401
 from repro.serve.session import ServerMonitor
 from repro.serve.tenancy import (
     DEFAULT_NAMESPACE,
@@ -100,7 +103,15 @@ ROLES = ("primary", "standby")
 #: per-ingest tick summaries the ``/ticks`` stream keeps
 TICKS_CAPACITY = 256
 
+#: seconds a closing connection's writer task gets to drain its queue,
+#: and :meth:`ServeServer.stop` gives connection handlers to finish
+#: their own close
+CLOSE_TIMEOUT = 5.0
+
 _CLOSE = object()  # event-queue sentinel terminating a writer task
+
+#: what a lagged subscriber's delta frame ends with in place of ``}\n``
+_LAGGED_TAIL = b',"lagged":true}\n'
 
 
 class _Connection:
@@ -227,6 +238,10 @@ class ServeServer:
         self._last_tick_at: Optional[float] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set[_Connection] = set()
+        #: running connection handler tasks; a handler leaves
+        #: ``_connections`` as soon as its own close starts, so stop()
+        #: waits on these instead
+        self._handlers: set[asyncio.Task] = set()
         #: subscribers keyed by ``(namespace, query_handle)`` — query
         #: handles are only unique within one namespace's registry
         self._subscribers: dict[tuple[str, str], set[_Connection]] = {}
@@ -580,6 +595,11 @@ class ServeServer:
         bye = encode_frame({"event": "bye", "reason": "shutdown"})
         for conn in list(self._connections):
             await self._close_connection(conn, farewell=bye)
+        # A handler whose peer hung up first may still be inside its own
+        # _close_connection; stopping under it would let the loop's
+        # teardown cancel it mid-close.
+        if self._handlers:
+            await asyncio.wait(list(self._handlers), timeout=CLOSE_TIMEOUT)
         if self.obs is not None:
             await self.obs.stop()
         self._stopped.set()
@@ -606,7 +626,8 @@ class ServeServer:
         if conn.pump is not None:
             # Let the pump drain what is already queued, then stop it.
             try:
-                await asyncio.wait_for(conn.events.put(_CLOSE), timeout=5.0)
+                await asyncio.wait_for(conn.events.put(_CLOSE),
+                                       timeout=CLOSE_TIMEOUT)
             except asyncio.TimeoutError:
                 conn.pump.cancel()
             try:
@@ -630,6 +651,9 @@ class ServeServer:
     # connection handling
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
+        handler.add_done_callback(self._handlers.discard)
         conn = _Connection(reader, writer, self.queue_depth)
         if self.tenants.open:
             # Single-tenant: every connection implicitly operates in
@@ -837,7 +861,8 @@ class ServeServer:
     async def _fan_out_delta_list(self, ns: Namespace, deltas) -> int:
         """Enqueue an already-drained delta list to ``ns``'s subscribers
         (the standby tailer drains deltas itself so it can journal them,
-        then hands them here)."""
+        then hands them here).  Each delta is encoded once, whatever the
+        subscriber count."""
         if not deltas:
             return 0
         enqueued = 0
@@ -846,21 +871,22 @@ class ServeServer:
             subscribers = self._subscribers.get((ns.name, delta.query))
             if not subscribers:
                 continue
-            base = {
+            event = {
                 "event": "delta",
                 "query": delta.query,
                 "tick": delta.tick,
-                "entered": [pair_to_wire(p) for p in delta.entered],
-                "left": [pair_to_wire(p) for p in delta.left],
+                "entered": delta.entered,
+                "left": delta.left,
             }
             if delta.trace is not None:
-                base["trace"] = delta.trace
+                event["trace"] = delta.trace
+            encoded = encode_frame(event)
             for conn in list(subscribers):
-                frame = base
+                payload = encoded
                 if delta.query in conn.lagged:
-                    frame = dict(base)
-                    frame["lagged"] = True
-                payload = encode_frame(frame)
+                    # ``lagged`` is the frame's last key: splice it in
+                    # before the closing brace instead of re-encoding.
+                    payload = encoded[:-2] + _LAGGED_TAIL
                 if self.backpressure == "block":
                     # Bookkeeping precedes the await: the frame above
                     # already consumed the lagged flag, and no other
@@ -1120,7 +1146,7 @@ class ServeServer:
         self._send(conn, ok_frame(
             "snapshot", request_id,
             tick=ns.session.monitor.manager.now_seq,
-            answer=[pair_to_wire(p) for p in answer],
+            answer=answer,
         ))
 
     async def _op_subscribe(self, conn, frame, request_id) -> None:
@@ -1149,7 +1175,7 @@ class ServeServer:
         self._send(conn, ok_frame(
             "subscribe", request_id, query=handle_id,
             tick=ns.session.monitor.manager.now_seq,
-            answer=[pair_to_wire(p) for p in answer],
+            answer=answer,
         ))
 
     async def _op_unsubscribe(self, conn, frame, request_id) -> None:

@@ -47,16 +47,16 @@ from typing import Optional
 from repro.exceptions import ProtocolError, ReplicationError, ServeError
 from repro.serve.checkpoint import restore_server_monitor
 from repro.serve.client import ServeClient
-from repro.serve.protocol import pair_to_wire
+from repro.serve.protocol import encode_frame
 from repro.serve.tenancy import DEFAULT_NAMESPACE, Namespace, NamespaceRegistry
 
 __all__ = ["StandbyTailer", "connect_standby"]
 
 
-def _append_lines(path: str, text: str) -> None:
+def _append_lines(path: str, data: bytes) -> None:
     """Blocking JSONL append (runs on the executor, never the loop)."""
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(text)
+    with open(path, "ab") as handle:
+        handle.write(data)
 
 
 class StandbyTailer:
@@ -323,19 +323,16 @@ class StandbyTailer:
                 entry = {
                     "query": delta.query,
                     "tick": delta.tick,
-                    "entered": [pair_to_wire(p) for p in delta.entered],
-                    "left": [pair_to_wire(p) for p in delta.left],
+                    "entered": delta.entered,
+                    "left": delta.left,
                     "epoch": session.epoch,
                 }
                 if not self.registry.open:
                     entry["namespace"] = name
-                lines.append(
-                    json.dumps(entry, separators=(",", ":")) + "\n"
-                )
-            text = "".join(lines)
+                lines.append(encode_frame(entry))
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(
-                None, _append_lines, self.delta_log, text,
+                None, _append_lines, self.delta_log, b"".join(lines),
             )
         if self._server is not None:
             await self._server._fan_out_delta_list(ns, deltas)

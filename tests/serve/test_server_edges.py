@@ -4,13 +4,16 @@ a structured error and never die."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
+from time import perf_counter
 
 import pytest
 
+from repro.serve import server as server_module
 from repro.serve.client import ServeClient, ServeRequestError
-from repro.serve.server import BackgroundServer
+from repro.serve.server import BackgroundServer, ServeServer
 from repro.serve.session import ServerMonitor
 
 
@@ -213,3 +216,48 @@ class TestShutdownDrain:
                 watcher.next_event(timeout=5.0) for _ in range(1)
             ]
             assert {"event": "bye", "reason": "shutdown"} in deadline_events
+
+
+async def _stop_while_a_handler_closes(hold_seconds: float) -> dict:
+    """Hang up one client and hold its handler inside its own
+    ``_close_connection`` (at ``writer.wait_closed``) for
+    ``hold_seconds``, calling ``stop()`` meanwhile."""
+    server = ServeServer(ServerMonitor(16, 2))
+    await server.start()
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    await reader.readline()  # hello: the handler is registered
+    (conn,) = server._connections
+    held = asyncio.Event()
+    handler_tasks = []
+    wait_closed = conn.writer.wait_closed
+
+    async def held_wait_closed():
+        handler_tasks.append(asyncio.current_task())
+        held.set()
+        await asyncio.sleep(hold_seconds)
+        await wait_closed()
+
+    conn.writer.wait_closed = held_wait_closed
+    writer.close()
+    await asyncio.wait_for(held.wait(), timeout=5.0)
+    assert conn not in server._connections  # its own close is under way
+    started = perf_counter()
+    await server.stop()
+    elapsed = perf_counter() - started
+    (handler,) = handler_tasks
+    result = {"elapsed": elapsed, "handler_done": handler.done()}
+    await asyncio.wait_for(handler, timeout=10.0)
+    return result
+
+
+class TestStopWaitsForClosingHandlers:
+    def test_stop_returns_after_the_handler_finishes(self):
+        outcome = asyncio.run(_stop_while_a_handler_closes(0.3))
+        assert outcome["handler_done"]
+        assert 0.2 <= outcome["elapsed"] < server_module.CLOSE_TIMEOUT
+
+    def test_stop_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(server_module, "CLOSE_TIMEOUT", 0.2)
+        outcome = asyncio.run(_stop_while_a_handler_closes(1.0))
+        assert not outcome["handler_done"]
+        assert 0.15 <= outcome["elapsed"] < 0.9
