@@ -90,11 +90,11 @@ def run_dominance_ablation():
         maintainer = maintainer_cls(k_closest_pairs(d), K)
         for row in warm:
             event = manager.append(row)
-            maintainer.on_tick(manager, event.new, event.expired)
+            maintainer.on_tick(manager, (event.new,), event.expired)
         start = time.perf_counter()
         for row in measured:
             event = manager.append(row)
-            maintainer.on_tick(manager, event.new, event.expired)
+            maintainer.on_tick(manager, (event.new,), event.expired)
         series[label].append(us_per(time.perf_counter() - start, ticks))
     print_figure(
         f"Ablation: staircase vs dominance counting (N={N}, K={K})",

@@ -35,7 +35,7 @@ def build_state(N, K, seed=10):
     supreme = SupremeAlgorithm(k_closest_pairs(D), K, N, num_attributes=D)
     for row in synthetic_rows(2 * N, D, seed=seed):
         event = manager.append(row)
-        maintainer.on_tick(manager, event.new, event.expired)
+        maintainer.on_tick(manager, (event.new,), event.expired)
         supreme.append(row)
     return manager, maintainer, supreme
 

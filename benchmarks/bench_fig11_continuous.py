@@ -48,7 +48,7 @@ def _measure(K, num_queries, ticks, seed=11):
     measured = synthetic_rows(N + ticks, D, seed=seed)[N:]
     for row in warmup:
         event = manager.append(row)
-        maintainer.on_tick(manager, event.new, event.expired)
+        maintainer.on_tick(manager, (event.new,), event.expired)
         supreme.append(row)
     states = []
     for k, n in specs:
@@ -62,7 +62,7 @@ def _measure(K, num_queries, ticks, seed=11):
     supreme_before = supreme.chargeable_query_seconds
     for row in measured:
         event = manager.append(row)
-        delta = maintainer.on_tick(manager, event.new, event.expired)
+        delta = maintainer.on_tick(manager, (event.new,), event.expired)
         now = manager.now_seq
         start = time.perf_counter()
         for state in states:

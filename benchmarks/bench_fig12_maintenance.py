@@ -36,11 +36,11 @@ def _time_maintainer(maintainer_cls, N, K, d, rows_warm, rows_measured):
     maintainer = maintainer_cls(sf, K)
     for row in rows_warm:
         event = manager.append(row)
-        maintainer.on_tick(manager, event.new, event.expired)
+        maintainer.on_tick(manager, (event.new,), event.expired)
     start = time.perf_counter()
     for row in rows_measured:
         event = manager.append(row)
-        maintainer.on_tick(manager, event.new, event.expired)
+        maintainer.on_tick(manager, (event.new,), event.expired)
     return time.perf_counter() - start
 
 

@@ -30,7 +30,7 @@ def _steady_state_counts(N, K, samples=20):
     rows = synthetic_rows(2 * N + samples * 3, 2, seed=18)
     for i, row in enumerate(rows):
         event = manager.append(row)
-        maintainer.on_tick(manager, event.new, event.expired)
+        maintainer.on_tick(manager, (event.new,), event.expired)
         naive.append(row)
         if i >= 2 * N and (i - 2 * N) % 3 == 0:
             skyband_sizes.append(len(maintainer.skyband))

@@ -33,7 +33,7 @@ def _measured_skyband_sizes(N, K, samples=40):
     rows = synthetic_rows(2 * N + samples * 5, 2, seed=13)
     for i, row in enumerate(rows):
         event = manager.append(row)
-        maintainer.on_tick(manager, event.new, event.expired)
+        maintainer.on_tick(manager, (event.new,), event.expired)
         if i >= 2 * N and (i - 2 * N) % 5 == 0:
             sizes.append(len(maintainer.skyband))
     return sizes
@@ -68,11 +68,11 @@ def run_lemma2():
         rows = synthetic_rows(N + ticks, 2, seed=14)
         for row in rows[:N]:
             event = manager.append(row)
-            maintainer.on_tick(manager, event.new, event.expired)
+            maintainer.on_tick(manager, (event.new,), event.expired)
         counters.reset()
         for row in rows[N:]:
             event = manager.append(row)
-            maintainer.on_tick(manager, event.new, event.expired)
+            maintainer.on_tick(manager, (event.new,), event.expired)
         # pairs that survived the staircase dominance test, per arrival
         series["measured"].append(counters.candidate_pairs / ticks)
         series["sqrtK + K*C"].append(expected_new_skyband_pairs(K, N))

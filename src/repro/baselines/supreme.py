@@ -97,7 +97,7 @@ class SupremeAlgorithm:
             self.counters.score_evaluations += len(scores)
             self.counters.pairs_considered += len(scores)
         # -- oracle: everything else, free -------------------------------
-        self.oracle.on_tick(self._manager, new, event.expired)
+        self.oracle.on_tick(self._manager, (new,), event.expired)
         for query_id in list(self._answers):
             k, n = self._query_params[query_id]
             new_answer = self._oracle_top_k(k, n)

@@ -38,10 +38,10 @@ rebuild per expired object and a full sweep + whole-skyband set diff per
 arrival.  Both are avoidable because a sweep's heap state at position
 ``i`` depends only on the kept pairs before ``i``:
 
-* **Coalesced expiry** — all of a tick's (or batch's) expiries drop their
-  pairs in one pass, and the staircase is refreshed once: the prefix
-  below the first removed position keeps its points verbatim, the heap is
-  re-seeded with the ``K`` smallest-age prefix pairs (a C-speed
+* **Coalesced expiry** — all of a tick's expiries drop their pairs in
+  one pass, and the staircase is refreshed once: the prefix below the
+  first removed position keeps its points verbatim, the heap is re-seeded
+  with the ``K`` smallest-age prefix pairs (a C-speed
   ``heapq.nsmallest``), and only the suffix is re-swept.  A tick with
   ``E`` expiries costs one ``O(|SKB| log K)`` refresh instead of ``E``.
 * **Incremental candidate insertion** — when the candidate set is small
@@ -193,37 +193,30 @@ class SkybandMaintainer(ABC):
     def on_tick(
         self,
         manager: StreamManager,
-        new_obj: StreamObject,
-        expired: list[StreamObject],
-    ) -> SkybandDelta:
-        """Process one arrival event (expiries first, then the arrival):
-        a batch of one."""
-        return self.on_batch(manager, (new_obj,), expired)
-
-    def on_batch(
-        self,
-        manager: StreamManager,
         new_objs: Sequence[StreamObject],
         expired: list[StreamObject],
     ) -> SkybandDelta:
-        """Process several arrivals with one Algorithm 4 sweep.
+        """Process one stream tick: ``expired`` objects leave, then the
+        ``new_objs`` arrivals (one or more, oldest first) are merged with
+        one Algorithm 4 sweep.
 
-        Batch semantics: the skyband (and any continuous answers) are
-        refreshed only at batch boundaries, over the pairs whose members
-        are both alive in the *final* window.  Candidate collection for
-        each batch member sees only older partners (so each intra-batch
-        pair is collected exactly once, by its newer member), and the
-        staircase from the batch start is used for pruning — stale within
-        the batch but conservative, since all of its implied dominators
-        survive the batch's expiries (they are removed first, below).
-        Amortizes the merge / Algorithm 4 / PST-diff work across the
-        batch; throughput vs latency is measured in bench_ablation.
+        The skyband (and any continuous answers) is refreshed once per
+        tick, over the pairs whose members are both alive in the tick's
+        *final* window.  Candidate collection for each arrival sees only
+        older partners (so each pair among the arrivals is collected
+        exactly once, by its newer member), and the staircase from the
+        tick's start is used for pruning — stale after the first arrival
+        but conservative, since all of its implied dominators survive
+        the tick's expiries (they are removed first, below).  A
+        multi-row tick amortizes the merge / Algorithm 4 / PST-diff
+        work over its arrivals; throughput vs latency is measured in
+        bench_ablation.
         """
         obs = self._obs
         enabled = obs.enabled
         if enabled:
             start = perf_counter()
-        expired_pairs = self._expire_batch(expired)
+        expired_pairs = self._expire(expired)
         if enabled:
             obs.phase("expire", perf_counter() - start)
             start = perf_counter()
@@ -244,9 +237,9 @@ class SkybandMaintainer(ABC):
     # ------------------------------------------------------------------
     # expiry
     # ------------------------------------------------------------------
-    def _expire_batch(self, expired: list[StreamObject]) -> list[Pair]:
+    def _expire(self, expired: list[StreamObject]) -> list[Pair]:
         """Drop the skyband pairs of every expired object, refreshing the
-        staircase once for the whole batch."""
+        staircase once for the whole tick."""
         if not expired:
             return []
         by_oldest = self._by_oldest
@@ -487,7 +480,7 @@ class SCaseMaintainer(SkybandMaintainer):
         keep = self.pair_filter
         for partner in manager:
             if partner.seq >= new_obj.seq:
-                continue  # intra-batch pairs belong to their newer member
+                continue  # a pair of two arrivals is its newer member's
             pair = make_pair(new_obj, partner, self.scoring_function, counters)
             if counters is not None:
                 counters.pairs_considered += 1
@@ -603,7 +596,7 @@ class TAMaintainer(SkybandMaintainer):
             if partner.seq < new_obj.seq:
                 last_age_key = -partner.seq
                 consider(new_obj, partner, seen, candidates)
-            # Newer partners (possible under batching) are skipped: their
+            # Newer partners (a multi-row tick) are skipped: their
             # pairs belong to the newer member's own collection pass, and
             # leaving last_age_key untouched only weakens the threshold
             # conservatively.

@@ -338,23 +338,8 @@ class TopKPairsMonitor:
         payload: object = None,
     ) -> ArrivalEvent:
         """Admit one object and refresh every skyband and every continuous
-        query."""
-        obs = self.recorder
-        if obs.enabled:
-            obs.begin_tick()
-        tick_start = perf_counter()
-        manager = self.manager
-        event = manager.append(values, timestamp=timestamp, payload=payload)
-        new, expired = event.new, event.expired
-        if obs.enabled:
-            obs.phase("window", perf_counter() - tick_start)
-            obs.on_window(1, len(expired))
-        now = manager.now_seq
-        for group in self._groups.values():
-            delta = group.maintainer.on_tick(manager, new, expired)
-            self._refresh_queries(group, delta, now)
-        self._close_tick(tick_start, now)
-        return event
+        query: a one-row tick."""
+        return self._tick([(values, timestamp, payload)])[0]
 
     def extend(
         self,
@@ -371,60 +356,73 @@ class TopKPairsMonitor:
         alternatively ``timestamps`` supplies one timestamp per plain
         row.  Mixing both timestamp channels is rejected.
 
-        With ``batch_size`` set, skybands and continuous answers are
-        refreshed only at batch boundaries (one Algorithm 4 sweep per
-        batch, amortizing the per-arrival bookkeeping) — a throughput /
-        result-latency trade-off.  Within a batch, intermediate results
-        are never observable, so batched and per-tick ingestion agree at
-        every batch boundary.
+        Each chunk of ``batch_size`` rows (default 1: a tick per row) is
+        one tick: skybands and continuous answers are refreshed once per
+        chunk, with one Algorithm 4 sweep per skyband, amortizing the
+        per-arrival bookkeeping — a throughput / result-latency
+        trade-off.  Within a chunk, intermediate results are never
+        observable, and since the K-skyband is a function of the window
+        alone, chunked and per-row ingestion agree at every chunk
+        boundary.
 
         The returned count is exact even when ``rows`` is a generator —
         batch consumers (e.g. the :mod:`repro.serve` ingest op) use it to
         acknowledge precisely how many objects entered the stream.
         """
         normalized = _normalize_rows(rows, timestamps)
+        size = max(batch_size or 1, 1)
         count = 0
-        if batch_size is None or batch_size <= 1:
-            for values, timestamp, payload in normalized:
-                self.append(values, timestamp=timestamp, payload=payload)
-                count += 1
-            return count
         while True:
-            chunk = list(islice(normalized, batch_size))
+            chunk = list(islice(normalized, size))
             if not chunk:
                 return count
-            self._append_batch(chunk)
+            self._tick(chunk)
             count += len(chunk)
 
-    def _append_batch(self, rows: list[tuple]) -> None:
-        """``rows`` are normalized ``(values, timestamp, payload)``."""
+    def _tick(self, rows: list[tuple]) -> list[ArrivalEvent]:
+        """One stream tick admitting ``rows`` (normalized ``(values,
+        timestamp, payload)``, at least one): every skyband group runs
+        one maintainer tick and refreshes its continuous queries once."""
         obs = self.recorder
         if obs.enabled:
             obs.begin_tick()
         tick_start = perf_counter()
-        events = [
-            self.manager.append(values, timestamp=timestamp, payload=payload)
-            for values, timestamp, payload in rows
-        ]
+        manager = self.manager
+        events: list[ArrivalEvent] = []
+        rejected: Optional[Exception] = None
+        for values, timestamp, payload in rows:
+            try:
+                events.append(manager.append(values, timestamp=timestamp,
+                                             payload=payload))
+            except Exception as error:
+                # A row the window rejects ends the tick early: the rows
+                # admitted before it are merged all the same, so the
+                # error propagates with every skyband in step with the
+                # window.
+                if not events:
+                    raise
+                rejected = error
+                break
         expired = [gone for event in events for gone in event.expired]
+        gone_seqs = {gone.seq for gone in expired}
+        # An object that arrived and expired within this very tick (more
+        # rows than the window holds, or a later timestamp past the
+        # horizon) never becomes visible.
+        arrived = [event.new for event in events
+                   if event.new.seq not in gone_seqs]
         if obs.enabled:
             obs.phase("window", perf_counter() - tick_start)
             obs.on_window(len(events), len(expired))
-        expired_seqs = {gone.seq for gone in expired}
-        # An object that arrived and expired within this very batch (a
-        # batch larger than the window) never becomes visible.
-        survivors = [
-            event.new for event in events
-            if event.new.seq not in expired_seqs
-        ]
-        now = self.manager.now_seq
+        now = manager.now_seq
         for group in self._groups.values():
-            delta = group.maintainer.on_batch(self.manager, survivors,
-                                              expired)
+            delta = group.maintainer.on_tick(manager, arrived, expired)
             self._refresh_queries(group, delta, now)
-        # One audit per batch boundary — intermediate states are never
-        # observable, so there is nothing to check mid-batch.
+        # One audit per tick — intermediate states are never observable,
+        # so there is nothing to check between a tick's rows.
         self._close_tick(tick_start, now)
+        if rejected is not None:
+            raise rejected
+        return events
 
     def _refresh_queries(
         self, group: _SkybandGroup, delta: SkybandDelta, now: int

@@ -13,11 +13,13 @@ frame per line.  Three frame shapes travel over a connection:
   structured error frame rather than dying or going silent;
 * **events** (server → client, push) — ``{"event": <kind>, ...}``.
   Subscription deltas are ``{"event": "delta", "query": ..., "tick": ...,
-  "entered": [...], "left": [...]}``; delivery keeps the client's answer
-  in sync without re-shipping the full top-k every tick (the
-  delta-based protocol of Mäcker et al., see PAPERS.md).  Connections
-  registered via the ``replicate`` op additionally receive ``rows``
-  events — ``{"event": "rows", "first_seq": ..., "now_seq": ...,
+  "entered": [...], "left": [...]}``, at most one per query and ingest
+  op: an op's rows run as one engine tick, ``tick`` is the op's last
+  sequence number and the pairs are the op's net change.  Delivery
+  keeps the client's answer in sync without re-shipping the full top-k
+  every op (the delta-based protocol of Mäcker et al., see PAPERS.md).
+  Connections registered via the ``replicate`` op additionally receive
+  ``rows`` events — ``{"event": "rows", "first_seq": ..., "now_seq": ...,
   "epoch": ..., "namespace": ..., "rows": [[values...], ...],
   "timestamps": [...]|null}`` — the raw replication feed a warm standby
   applies to keep its maintainer state hot (docs/serving.md, failover
@@ -61,6 +63,7 @@ __all__ = [
     "MAX_TRACE_ID_CHARS",
     "OPS",
     "PROTOCOL_VERSION",
+    "RawJSON",
     "decode_frame",
     "encode_frame",
     "error_frame",
@@ -122,6 +125,14 @@ ERROR_CODES = (
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
+class RawJSON(str):
+    """Text that already is compact JSON (``json.dumps(value,
+    separators=(",", ":"))``): :func:`encode_frame` splices it into a
+    frame verbatim instead of encoding it again."""
+
+    __slots__ = ()
+
+
 def encode_frame(payload: dict) -> bytes:
     """One wire frame: compact JSON plus the terminating newline.
 
@@ -129,7 +140,8 @@ def encode_frame(payload: dict) -> bytes:
     from each pair's cached JSON (:func:`_pair_json`), in key order, so
     the bytes equal ``json.dumps`` of the same frame with every pair
     replaced by its :func:`pair_to_wire` dict — without encoding any
-    pair's floats twice.
+    pair's floats twice.  A :class:`RawJSON` field is spliced as is, so
+    the bytes equal ``json.dumps`` of the frame with that field parsed.
     """
     parts: list[str] = []
     plain: dict = {}
@@ -142,6 +154,11 @@ def encode_frame(payload: dict) -> bytes:
             parts.append(
                 f"{_encode(key)}:[{','.join(map(_pair_json, value))}]"
             )
+        elif isinstance(value, RawJSON):
+            if plain:
+                parts.append(_encode(plain)[1:-1])
+                plain = {}
+            parts.append(f"{_encode(key)}:{value}")
         else:
             plain[key] = value
     if not parts:

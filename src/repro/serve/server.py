@@ -5,8 +5,9 @@ and speaks the NDJSON frame protocol of :mod:`repro.serve.protocol` to
 any number of clients.  Design points:
 
 * **single-threaded engine** — every op runs on the event loop, so the
-  monitor needs no locking and ingest ticks are serialized exactly like
-  library use; concurrency lives in the I/O, not the engine;
+  monitor needs no locking; each ingest op runs as one engine tick over
+  all of its rows, serialized exactly like library use; concurrency
+  lives in the I/O, not the engine;
 * **delta fan-out with bounded queues** — each connection has one
   bounded event queue drained by a writer task.  When a subscriber's
   queue is full the configured backpressure policy decides:
@@ -71,6 +72,7 @@ from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     OPS,
     PROTOCOL_VERSION,
+    RawJSON,
     decode_frame,
     encode_frame,
     error_frame,
@@ -1242,7 +1244,7 @@ class ServeServer:
             elapsed = perf_counter() - start
             meta["seconds"] = elapsed
             self._send(conn, ok_frame("checkpoint", request_id,
-                                      state=json.loads(document), **meta))
+                                      state=RawJSON(document), **meta))
             return
         loop = asyncio.get_running_loop()
         try:
@@ -1273,10 +1275,15 @@ class ServeServer:
             (ns, *self._checkpoint_document(ns)) for ns in namespaces
         ]
         if ship:
-            states = {ns.name: json.loads(doc) for ns, doc, _ in documents}
+            # Each document already is compact JSON: splice the texts
+            # into one ``{name: state}`` object instead of parsing them
+            # back for the frame encoder to re-encode.
+            states = RawJSON("{" + ",".join(
+                f"{json.dumps(ns.name)}:{doc}" for ns, doc, _ in documents
+            ) + "}")
             self._send(conn, ok_frame(
                 "checkpoint", request_id, states=states,
-                namespaces=sorted(states),
+                namespaces=sorted(ns.name for ns in namespaces),
                 seconds=perf_counter() - start,
             ))
             return

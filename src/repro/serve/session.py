@@ -10,12 +10,14 @@ Sits between the wire (:mod:`repro.serve.server`) and the engine
   ``furthest`` / ``similar`` / ``dissimilar``) and shares one function
   *instance* per name, so queries registered over the wire land in the
   same skyband group exactly like library callers sharing an instance;
-* extracts per-tick **answer deltas**: every continuous query gets an
+* runs each ingest op as **one engine tick** over all of its rows (one
+  per :attr:`ServerMonitor.tick_rows` rows of a larger op), and
+  extracts the op's **answer deltas**: every continuous query gets an
   ``on_change`` listener (via
   :meth:`~repro.core.monitor.TopKPairsMonitor.set_on_change`) that
-  stamps the entered/left pairs with the tick they happened on; the
-  server drains them after each ingest and fans them out to
-  subscribers;
+  records each tick's entered/left pairs, merged into the op's net
+  change stamped with the op's last sequence number; the server drains
+  them after each ingest and fans them out to subscribers;
 * carries **trace context** through the engine: a traced ingest runs
   under a ``tick`` span (:mod:`repro.obs.spans`) and stamps its trace id
   onto every :class:`DeltaEvent` the tick produced — the listener fires
@@ -29,7 +31,8 @@ machinery.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from operator import attrgetter
+from typing import Optional, Sequence
 
 from repro.core.monitor import QueryHandle, TopKPairsMonitor
 from repro.core.pair import Pair
@@ -56,8 +59,12 @@ SCORING_NAMES = {
 }
 
 
+_score_key = attrgetter("score_key")
+
+
 class DeltaEvent:
-    """One continuous query's answer change at one stream tick.
+    """One continuous query's net answer change over one ingest op, at
+    the op's last sequence number ``tick``.
 
     ``trace`` is the id of the traced ingest that caused the change
     (``None`` for untraced ingests) — the hand-off that lets one client
@@ -107,6 +114,13 @@ class QueryRecord:
 
 class ServerMonitor:
     """A :class:`TopKPairsMonitor` wrapped for network serving."""
+
+    #: rows per engine tick.  A tick's staircase cannot prune the pairs
+    #: formed among the tick's own rows (each is younger than every
+    #: staircase pair), so a tick of ``r`` rows keeps all ``r (r - 1) /
+    #: 2`` of them; an ingest op of more rows runs as several ticks, and
+    #: their answer deltas are merged into one per query.
+    tick_rows = 16
 
     def __init__(
         self,
@@ -306,40 +320,76 @@ class ServerMonitor:
 
     def ingest(
         self,
-        rows: Iterable[Sequence[float]],
+        rows: Sequence[Sequence[float]],
         *,
-        timestamps: Optional[Iterable[float]] = None,
+        timestamps: Optional[Sequence[float]] = None,
         trace: Optional[str] = None,
     ) -> tuple[int, int]:
-        """Admit a batch of rows; returns ``(ingested, now_seq)``.
+        """Admit one op's rows, one engine tick per :attr:`tick_rows` of
+        them; returns ``(ingested, now_seq)``.
 
-        The precise count comes from
+        The rows become visible together: an op of up to
+        :attr:`tick_rows` rows is one tick, in which every skyband group
+        runs one maintainer tick over all of them and every continuous
+        query refreshes once.  Each query's answer delta (accumulated
+        for :meth:`drain_deltas`) is the op's net change, stamped with
+        the op's ``now_seq``.  Since the K-skyband is a function of the
+        window alone, the state equals what one tick per row would
+        reach.  The precise count comes from
         :meth:`~repro.core.monitor.TopKPairsMonitor.extend`'s return
         value — the server acknowledges exactly what entered the stream.
-        Answer deltas produced by the ticks accumulate for
-        :meth:`drain_deltas`.
 
-        A non-``None`` ``trace`` runs the batch under a ``tick`` span
-        and stamps the id onto every delta the ticks produce; the
-        untraced path is byte-identical to before tracing existed.
+        A non-``None`` ``trace`` runs the op under a ``tick`` span and
+        stamps the id onto every delta it produces; the untraced path is
+        byte-identical to before tracing existed.
         """
+        mark = len(self._pending_deltas)
         if trace is None or not self.spans.enabled:
-            count = self.monitor.extend(rows, timestamps=timestamps)
-            return count, self.monitor.manager.now_seq
-        self._active_trace = trace
-        span = self.spans.span("tick", trace=trace)
-        try:
-            with span:
-                count = self.monitor.extend(rows, timestamps=timestamps)
-                span.attrs["rows"] = count
-                span.attrs["now_seq"] = self.monitor.manager.now_seq
-        finally:
-            self._active_trace = None
+            count = self.monitor.extend(rows, timestamps=timestamps,
+                                        batch_size=self.tick_rows)
+        else:
+            self._active_trace = trace
+            span = self.spans.span("tick", trace=trace)
+            try:
+                with span:
+                    count = self.monitor.extend(
+                        rows, timestamps=timestamps,
+                        batch_size=self.tick_rows,
+                    )
+                    span.attrs["rows"] = count
+                    span.attrs["now_seq"] = self.monitor.manager.now_seq
+            finally:
+                self._active_trace = None
+        if count > self.tick_rows:
+            self._merge_deltas(mark)
         return count, self.monitor.manager.now_seq
 
+    def _merge_deltas(self, mark: int) -> None:
+        """Fold the deltas of one op's ticks (``_pending_deltas[mark:]``)
+        into one per query, stamped with the op's last sequence number:
+        a pair that entered and left within the op is in neither list."""
+        merged: dict[str, tuple[dict, dict, Optional[str]]] = {}
+        for delta in self._pending_deltas[mark:]:
+            entered, left, _ = merged.setdefault(
+                delta.query, ({}, {}, delta.trace)
+            )
+            for pair in delta.left:
+                if entered.pop(pair.uid, None) is None:
+                    left[pair.uid] = pair
+            for pair in delta.entered:
+                if left.pop(pair.uid, None) is None:
+                    entered[pair.uid] = pair
+        now = self.monitor.manager.now_seq
+        self._pending_deltas[mark:] = [
+            DeltaEvent(query, now, sorted(entered.values(), key=_score_key),
+                       sorted(left.values(), key=_score_key), trace)
+            for query, (entered, left, trace) in merged.items()
+            if entered or left
+        ]
+
     def drain_deltas(self) -> list[DeltaEvent]:
-        """The per-tick answer deltas since the last drain (oldest
-        first); draining transfers ownership to the caller."""
+        """The answer deltas since the last drain (oldest first);
+        draining transfers ownership to the caller."""
         deltas = self._pending_deltas
         self._pending_deltas = []
         return deltas

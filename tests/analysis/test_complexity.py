@@ -74,11 +74,11 @@ def _pairs_considered(maintainer_cls, N, K, ticks, seed=0):
     maintainer = maintainer_cls(sf, K, counters=counters)
     for _ in range(N):
         event = manager.append((rng.random(), rng.random()))
-        maintainer.on_tick(manager, event.new, event.expired)
+        maintainer.on_tick(manager, (event.new,), event.expired)
     counters.reset()
     for _ in range(ticks):
         event = manager.append((rng.random(), rng.random()))
-        maintainer.on_tick(manager, event.new, event.expired)
+        maintainer.on_tick(manager, (event.new,), event.expired)
     return counters.pairs_considered / ticks
 
 

@@ -28,9 +28,9 @@ class TestBasicMaintainer:
         scase = SCaseMaintainer(sf, K=4)
         for row in random_rows(90, 2, seed=1):
             ev_a = mgr_a.append(row)
-            basic.on_tick(mgr_a, ev_a.new, ev_a.expired)
+            basic.on_tick(mgr_a, (ev_a.new,), ev_a.expired)
             ev_b = mgr_b.append(row)
-            scase.on_tick(mgr_b, ev_b.new, ev_b.expired)
+            scase.on_tick(mgr_b, (ev_b.new,), ev_b.expired)
         assert {p.uid for p in basic.skyband} == {p.uid for p in scase.skyband}
 
     def test_dominance_checks_exceed_scase_staircase_checks(self):
@@ -42,9 +42,9 @@ class TestBasicMaintainer:
         scase = SCaseMaintainer(sf, K=8, counters=counters_scase)
         for row in random_rows(200, 2, seed=2):
             ev_a = mgr_a.append(row)
-            basic.on_tick(mgr_a, ev_a.new, ev_a.expired)
+            basic.on_tick(mgr_a, (ev_a.new,), ev_a.expired)
             ev_b = mgr_b.append(row)
-            scase.on_tick(mgr_b, ev_b.new, ev_b.expired)
+            scase.on_tick(mgr_b, (ev_b.new,), ev_b.expired)
         # Basic pays per-pair prefix scans; SCase pays one binary search
         # (counted as one staircase check) per pair.
         assert counters_basic.dominance_checks > (
@@ -60,7 +60,7 @@ class TestLinearScan:
         ref = BruteForceReference(sf, 15)
         for row in random_rows(50, 2, seed=3):
             event = manager.append(row)
-            maintainer.on_tick(manager, event.new, event.expired)
+            maintainer.on_tick(manager, (event.new,), event.expired)
             ref.append(row)
         now = manager.now_seq
         for k, n in ((1, 15), (3, 8), (5, 4)):
@@ -73,7 +73,7 @@ class TestLinearScan:
         maintainer = SCaseMaintainer(sf, K=5)
         for row in random_rows(50, 2, seed=4):
             event = manager.append(row)
-            maintainer.on_tick(manager, event.new, event.expired)
+            maintainer.on_tick(manager, (event.new,), event.expired)
         counters = Counters()
         linear_top_k(maintainer.skyband, 2, 15, manager.now_seq,
                      counters=counters)

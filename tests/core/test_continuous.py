@@ -33,7 +33,7 @@ def drive_continuous(rows, N, K, k, n, sf=None, d=2):
     state.initialize(maintainer.pst, manager.now_seq)
     for row in rows:
         event = manager.append(row)
-        delta = maintainer.on_tick(manager, event.new, event.expired)
+        delta = maintainer.on_tick(manager, (event.new,), event.expired)
         ref.append(row)
         answer = state.apply(delta, maintainer.pst, manager.now_seq)
         want = ref.top_k(k, n)
@@ -81,7 +81,7 @@ class TestRecomputeFallback:
         state.initialize(maintainer.pst, 0)
         for row in random_rows(ticks, 2, seed=6):
             event = manager.append(row)
-            delta = maintainer.on_tick(manager, event.new, event.expired)
+            delta = maintainer.on_tick(manager, (event.new,), event.expired)
             state.apply(delta, maintainer.pst, manager.now_seq)
         assert 0 < state.recompute_count < ticks * 0.5
 
@@ -96,7 +96,7 @@ class TestRecomputeFallback:
         state.initialize(maintainer.pst, 0)
         for row in random_rows(80, 2, seed=7):
             event = manager.append(row)
-            delta = maintainer.on_tick(manager, event.new, event.expired)
+            delta = maintainer.on_tick(manager, (event.new,), event.expired)
             state.apply(delta, maintainer.pst, manager.now_seq)
         assert counters.recomputations == state.recompute_count
 
@@ -110,7 +110,7 @@ class TestAnswerLifecycle:
         rows = random_rows(50, 2, seed=8)
         for row in rows[:30]:
             event = manager.append(row)
-            maintainer.on_tick(manager, event.new, event.expired)
+            maintainer.on_tick(manager, (event.new,), event.expired)
             ref.append(row)
         state = ContinuousQueryState(
             TopKPairsQuery(sf, 4, 15, continuous=True)
@@ -121,7 +121,7 @@ class TestAnswerLifecycle:
         ]
         for row in rows[30:]:
             event = manager.append(row)
-            delta = maintainer.on_tick(manager, event.new, event.expired)
+            delta = maintainer.on_tick(manager, (event.new,), event.expired)
             ref.append(row)
             state.apply(delta, maintainer.pst, manager.now_seq)
             assert [p.uid for p in state.answer] == [
@@ -135,10 +135,10 @@ class TestAnswerLifecycle:
         state = ContinuousQueryState(TopKPairsQuery(sf, 5, 30, continuous=True))
         state.initialize(maintainer.pst, 0)
         event = manager.append((0.1, 0.1))
-        delta = maintainer.on_tick(manager, event.new, event.expired)
+        delta = maintainer.on_tick(manager, (event.new,), event.expired)
         state.apply(delta, maintainer.pst, manager.now_seq)
         assert len(state) == 0  # one object, no pairs yet
         event = manager.append((0.2, 0.2))
-        delta = maintainer.on_tick(manager, event.new, event.expired)
+        delta = maintainer.on_tick(manager, (event.new,), event.expired)
         state.apply(delta, maintainer.pst, manager.now_seq)
         assert len(state) == 1

@@ -16,7 +16,7 @@ from repro.stream.manager import StreamManager
 def drive(maintainer, manager, rows):
     for row in rows:
         event = manager.append(row)
-        maintainer.on_tick(manager, event.new, event.expired)
+        maintainer.on_tick(manager, (event.new,), event.expired)
 
 
 def random_rows(count, d, seed):

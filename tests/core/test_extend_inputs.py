@@ -4,6 +4,8 @@ channel — per-tick and batched."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.monitor import TopKPairsMonitor
@@ -120,6 +122,28 @@ class TestAnswersMatchAppend:
             [p.uid for p in by_extend.results(h_e)]
         answer = by_extend.results(h_e)
         assert all(isinstance(p.older.payload, int) for p in answer)
+
+
+class TestRejectedRowInBatch:
+    def test_rows_admitted_before_a_rejected_row_are_merged(self):
+        """A row the window rejects partway through a batch raises, but
+        the batch rows admitted before it must reach the skyband: the
+        answer then equals one built a row at a time from the admitted
+        rows."""
+        rows = [[0.1, 0.2], [0.3, 0.4], [0.5, 0.5]]
+        batched = TopKPairsMonitor(10, 2, audit=True)
+        handle = batched.register_query(k_closest_pairs(2), k=2)
+        batched.extend(rows)
+        with pytest.raises(InvalidParameterError):
+            batched.extend([[0.11, 0.21], [0.3, math.nan]], batch_size=2)
+        batched.append([0.9, 0.9])
+        by_row = TopKPairsMonitor(10, 2)
+        reference = by_row.register_query(k_closest_pairs(2), k=2)
+        by_row.extend(rows + [[0.11, 0.21], [0.9, 0.9]])
+        answer = [(p.older.seq, p.newer.seq) for p in batched.results(handle)]
+        assert answer == [(1, 4), (2, 3)]
+        assert answer == [(p.older.seq, p.newer.seq)
+                          for p in by_row.results(reference)]
 
 
 class TestExtendReturnCount:

@@ -17,7 +17,7 @@ def build(N=20, K=3, ticks=70, seed=1):
     maintainer = SCaseMaintainer(sf, K)
     for _ in range(ticks):
         event = manager.append((rng.random(), rng.random()))
-        maintainer.on_tick(manager, event.new, event.expired)
+        maintainer.on_tick(manager, (event.new,), event.expired)
     return manager, maintainer, sf
 
 

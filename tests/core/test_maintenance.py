@@ -25,7 +25,7 @@ def drive(maintainer, manager, rows):
     for row in rows:
         event = manager.append(row)
         deltas.append(
-            maintainer.on_tick(manager, event.new, event.expired)
+            maintainer.on_tick(manager, (event.new,), event.expired)
         )
     return deltas
 
@@ -52,7 +52,7 @@ class TestSkybandCorrectness:
         ref = BruteForceReference(sf, N)
         for i, row in enumerate(random_rows(120, 2, seed=K)):
             event = manager.append(row)
-            maintainer.on_tick(manager, event.new, event.expired)
+            maintainer.on_tick(manager, (event.new,), event.expired)
             ref.append(row)
             if i % 7 == 0:
                 got = {p.uid for p in maintainer.skyband}
@@ -67,7 +67,7 @@ class TestSkybandCorrectness:
             ref = BruteForceReference(sf, 20)
             for row in random_rows(60, 2, seed=11):
                 event = manager.append(row)
-                maintainer.on_tick(manager, event.new, event.expired)
+                maintainer.on_tick(manager, (event.new,), event.expired)
                 ref.append(row)
             assert {p.uid for p in maintainer.skyband} == {
                 p.uid for p in ref.skyband(4)
@@ -81,7 +81,7 @@ class TestSkybandCorrectness:
         previous: set[int] = set()
         for row in random_rows(80, 2, seed=5):
             event = manager.append(row)
-            delta = maintainer.on_tick(manager, event.new, event.expired)
+            delta = maintainer.on_tick(manager, (event.new,), event.expired)
             current = {p.uid for p in maintainer.skyband}
             gone = {p.uid for p in delta.removed} | {
                 p.uid for p in delta.expired
@@ -98,7 +98,7 @@ class TestSkybandCorrectness:
         maintainer = maintainer_cls(sf, K=5)
         for row in random_rows(60, 2, seed=3):
             event = manager.append(row)
-            delta = maintainer.on_tick(manager, event.new, event.expired)
+            delta = maintainer.on_tick(manager, (event.new,), event.expired)
             keys = [p.score_key for p in delta.added]
             assert keys == sorted(keys)
 
@@ -108,7 +108,7 @@ class TestSkybandCorrectness:
         maintainer = maintainer_cls(sf, K=4)
         for i, row in enumerate(random_rows(70, 3, seed=8)):
             event = manager.append(row)
-            maintainer.on_tick(manager, event.new, event.expired)
+            maintainer.on_tick(manager, (event.new,), event.expired)
             if i % 10 == 0:
                 maintainer.check_invariants(manager)
 
@@ -131,7 +131,7 @@ class TestArbitraryScoringFunction:
             t += rng.uniform(0.5, 2.0)
             row = (t, rng.uniform(15, 30), rng.uniform(30, 70))
             event = manager.append(row)
-            maintainer.on_tick(manager, event.new, event.expired)
+            maintainer.on_tick(manager, (event.new,), event.expired)
             ref.append(row)
         assert {p.uid for p in maintainer.skyband} == {
             p.uid for p in ref.skyband(3)
@@ -169,7 +169,7 @@ class TestTAEfficiency:
         ta = TAMaintainer(sf, K=3)
         manager.append((0.5, 0.5))
         event = manager.append((0.6, 0.6))
-        ta.on_tick(manager, event.new, event.expired)
+        ta.on_tick(manager, (event.new,), event.expired)
         assert len(ta.skyband) == 1
 
 
@@ -181,7 +181,7 @@ class TestExpiry:
         maintainer = SCaseMaintainer(sf, K=3)
         for row in random_rows(50, 2, seed=6):
             event = manager.append(row)
-            maintainer.on_tick(manager, event.new, event.expired)
+            maintainer.on_tick(manager, (event.new,), event.expired)
             window_seqs = {o.seq for o in manager}
             for pair in maintainer.skyband:
                 assert pair.older.seq in window_seqs
@@ -192,7 +192,7 @@ class TestExpiry:
         maintainer = SCaseMaintainer(sf, K=2)
         for row in random_rows(40, 2, seed=12):
             event = manager.append(row)
-            delta = maintainer.on_tick(manager, event.new, event.expired)
+            delta = maintainer.on_tick(manager, (event.new,), event.expired)
             for pair in delta.expired:
                 assert event.expired
                 assert pair.older.seq == event.expired[0].seq
@@ -205,7 +205,7 @@ class TestExpiry:
         maintainer = SCaseMaintainer(sf, K=K)
         for row in random_rows(80, 2, seed=13):
             event = manager.append(row)
-            delta = maintainer.on_tick(manager, event.new, event.expired)
+            delta = maintainer.on_tick(manager, (event.new,), event.expired)
             assert len(delta.expired) <= K
 
 
@@ -216,7 +216,7 @@ class TestBootstrap:
         incremental = SCaseMaintainer(sf, K=4)
         for row in random_rows(35, 2, seed=20):
             event = manager.append(row)
-            incremental.on_tick(manager, event.new, event.expired)
+            incremental.on_tick(manager, (event.new,), event.expired)
         fresh = SCaseMaintainer(sf, K=4)
         fresh.bootstrap(manager)
         assert {p.uid for p in fresh.skyband} == {
@@ -235,7 +235,7 @@ class TestBootstrap:
         maintainer.bootstrap(manager)
         for row in random_rows(30, 2, seed=22):
             event = manager.append(row)
-            maintainer.on_tick(manager, event.new, event.expired)
+            maintainer.on_tick(manager, (event.new,), event.expired)
             ref.append(row)
         maintainer.check_invariants(manager)
         assert {p.uid for p in maintainer.skyband} == {

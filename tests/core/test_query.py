@@ -23,7 +23,7 @@ def build_state(rows, N, K, sf=None, d=2):
     ref = BruteForceReference(sf, N)
     for row in rows:
         event = manager.append(row)
-        maintainer.on_tick(manager, event.new, event.expired)
+        maintainer.on_tick(manager, (event.new,), event.expired)
         ref.append(row)
     return manager, maintainer, ref
 

@@ -11,7 +11,8 @@ implementation before its hot loop was optimised.
 
 The streams cover both schedules, d in {1, 2, 3}, continuous values and a
 4-level value grid (so scores and local scores tie often), one
-``on_batch`` step in the middle of each stream, and a filtered group.
+multi-row ``on_tick`` step in the middle of each stream, and a filtered
+group.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.stream.manager import StreamManager
 WINDOW = 20
 ROWS = 70
 K = 4
-#: rows [BATCH_AT, BATCH_AT + BATCH_ROWS) arrive as one on_batch step
+#: rows [BATCH_AT, BATCH_AT + BATCH_ROWS) arrive as one on_tick step
 BATCH_AT = 40
 BATCH_ROWS = 6
 
@@ -68,10 +69,7 @@ def drive(schedule: str, d: int, values: str, seed: int) -> dict[str, tuple]:
 
     def step(new_objs, expired):
         for name, maintainer in groups.items():
-            if len(new_objs) == 1:
-                maintainer.on_tick(manager, new_objs[0], expired)
-            else:
-                maintainer.on_batch(manager, new_objs, expired)
+            maintainer.on_tick(manager, new_objs, expired)
             digests[name].update(_state(maintainer).encode())
 
     rows = _rows(d, values, seed)

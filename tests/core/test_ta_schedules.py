@@ -23,7 +23,7 @@ def random_rows(count, d, seed):
 def drive(maintainer, manager, rows):
     for row in rows:
         event = manager.append(row)
-        maintainer.on_tick(manager, event.new, event.expired)
+        maintainer.on_tick(manager, (event.new,), event.expired)
 
 
 class TestScheduleValidation:
@@ -45,7 +45,7 @@ class TestCorrectnessUnderBothSchedules:
         ref = BruteForceReference(sf, N)
         for row in random_rows(80, 2, seed=1):
             event = manager.append(row)
-            maintainer.on_tick(manager, event.new, event.expired)
+            maintainer.on_tick(manager, (event.new,), event.expired)
             ref.append(row)
         assert {p.uid for p in maintainer.skyband} == {
             p.uid for p in ref.skyband(K)
@@ -59,7 +59,7 @@ class TestCorrectnessUnderBothSchedules:
             ref = BruteForceReference(sf, 15)
             for row in random_rows(45, 3, seed=2):
                 event = manager.append(row)
-                maintainer.on_tick(manager, event.new, event.expired)
+                maintainer.on_tick(manager, (event.new,), event.expired)
                 ref.append(row)
             assert {p.uid for p in maintainer.skyband} == {
                 p.uid for p in ref.skyband(3)

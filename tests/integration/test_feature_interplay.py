@@ -39,14 +39,14 @@ class TestFiltersWithBatching:
                 )
                 obj = ref.append(row)
                 obj.payload = category
-            # drive the groups through the batch path directly
+            # drive the groups through one multi-row tick directly
             expired = [g for e in events for g in e.expired]
             survivors = [
                 e.new for e in events
                 if e.new.seq not in {g.seq for g in expired}
             ]
             for group in monitor._groups.values():
-                delta = group.maintainer.on_batch(
+                delta = group.maintainer.on_tick(
                     monitor.manager, survivors, expired
                 )
                 for h in group.queries.values():

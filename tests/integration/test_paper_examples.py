@@ -57,7 +57,7 @@ class TestTheorem1And2:
         for _ in range(60):
             row = (rng.random(), rng.random())
             event = self.manager.append(row)
-            self.maintainer.on_tick(self.manager, event.new, event.expired)
+            self.maintainer.on_tick(self.manager, (event.new,), event.expired)
             self.ref.append(row)
 
     def test_theorem1_sufficiency(self):
@@ -115,7 +115,7 @@ class TestStorageLowerBound:
         maintainer = SCaseMaintainer(sf, K=1)
         maintainer.bootstrap(manager)
         event = manager.append((target.values[0],))
-        maintainer.on_tick(manager, event.new, event.expired)
+        maintainer.on_tick(manager, (event.new,), event.expired)
         best = maintainer.skyband[0]
         assert best.score == 0.0
         assert target.seq in (best.older.seq, best.newer.seq)

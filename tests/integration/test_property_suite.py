@@ -98,7 +98,7 @@ def test_property_ta_exact_for_all_trend_combos(above, below, seed_rows, K):
     ref = BruteForceReference(sf, N)
     for row in seed_rows:
         event = manager.append(row)
-        maintainer.on_tick(manager, event.new, event.expired)
+        maintainer.on_tick(manager, (event.new,), event.expired)
         ref.append(row)
     assert {p.uid for p in maintainer.skyband} == {
         p.uid for p in ref.skyband(K)

@@ -110,6 +110,32 @@ class TestDeltaReplay:
             }
             assert answer == polled
 
+    def test_multi_row_ingest_sends_one_delta_per_subscription(self, client):
+        """An ingest op is one engine tick: each subscription gets at
+        most one delta for it, stamped with the ack's ``now_seq``, and
+        the deltas still replay to the polled answers — for ops larger
+        than the 48-row window too."""
+        queries = [client.register(scoring, k=3)
+                   for scoring in ("closest", "furthest", "dissimilar")]
+        queries.append(client.register("closest", k=2, n=16))
+        answers = {query: client.subscribe(query) for query in queries}
+        for op, size in enumerate((1, 4, 9, 2, 53, 3, 16, 1, 7)):
+            ack = client.ingest(rows(size, seed=100 + op))
+            events = [client.next_event(timeout=5.0)
+                      for _ in range(ack["deltas"])]
+            assert len({event["query"] for event in events}) \
+                == len(events) <= len(queries)
+            for event in events:
+                assert event["event"] == "delta"
+                assert event["tick"] == ack["now_seq"]
+                apply_delta(answers[event["query"]], event)
+            for query in queries:
+                polled = {
+                    (p["older"], p["newer"]): p
+                    for p in client.snapshot(query=query)
+                }
+                assert answers[query] == polled
+
     def test_two_subscribers_see_the_same_deltas(self, server):
         with ServeClient(port=server.port) as a, \
                 ServeClient(port=server.port) as b:

@@ -181,8 +181,11 @@ class TestDropBackpressure:
             with ServeClient(port=background.port) as slow, \
                     ServeClient(port=background.port) as producer:
                 assert slow.hello["backpressure"] == "drop"
-                query = slow.register("closest", k=3)
-                slow.subscribe(query)
+                # An ingest op yields at most one delta per query, so
+                # three subscriptions (three skyband groups) let a single
+                # op put up to three deltas into the depth-1 queue.
+                for scoring in ("closest", "furthest", "similar"):
+                    slow.subscribe(slow.register(scoring, k=3))
                 # Flood without draining `slow`: its depth-1 queue must
                 # overflow and drop deltas instead of stalling ingest.
                 import random

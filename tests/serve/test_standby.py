@@ -153,9 +153,12 @@ class TestStandby:
                 ack = p.ingest(rows(40, seed=21))
                 wait_for_seq(s, ack["now_seq"])
             # The journal append runs on the executor after now_seq is
-            # already visible, so give the write a moment to land.
+            # already visible, so give the write a moment to land; the
+            # file exists from the executor's open() on, before its
+            # write, so wait for data rather than for the file.
             deadline = time.monotonic() + 5.0
-            while not os.path.exists(log_path) \
+            while not (os.path.exists(log_path)
+                       and os.path.getsize(log_path)) \
                     and time.monotonic() < deadline:
                 time.sleep(0.01)
             records = [json.loads(line) for line in open(log_path)]

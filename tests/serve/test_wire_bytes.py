@@ -5,7 +5,8 @@ splices each pair's cached JSON.  Every frame must equal ``json.dumps``
 of the same frame built with :func:`pair_to_wire` dicts — for snapshot
 and subscribe replies, delta events (traced, lagged) and standby
 delta-log lines — and fan-out plus a later snapshot must encode each
-pair exactly once.
+pair exactly once.  Shipped checkpoints splice their already-serialized
+documents and must equal the frame built from the parsed documents.
 """
 
 from __future__ import annotations
@@ -24,7 +25,11 @@ from repro.serve import server as server_module
 from repro.serve.protocol import encode_frame, ok_frame, pair_to_wire
 from repro.serve.server import ServeServer, _Connection
 from repro.serve.session import ServerMonitor
-from repro.serve.tenancy import DEFAULT_NAMESPACE
+from repro.serve.tenancy import (
+    DEFAULT_NAMESPACE,
+    NamespaceRegistry,
+    TenantSpec,
+)
 from repro.stream.object import StreamObject
 
 
@@ -171,3 +176,63 @@ def test_fan_out_and_snapshot_encode_each_pair_once(monkeypatch):
     assert reply == reference(ok_frame(
         "snapshot", 9, tick=session.monitor.manager.now_seq, answer=answer,
     ))
+
+
+def _ship(frame: dict, monkeypatch) -> tuple[bytes, list, list]:
+    """Run one ``checkpoint`` op with ``ship`` against a server holding
+    two namespaces; returns the reply bytes, the ``(document, meta)``
+    pairs the server serialized, and the namespaces in server order."""
+    documents = []
+    serialize = server_module.checkpoint_module.checkpoint_document
+
+    def recording(session):
+        documents.append(serialize(session))
+        return documents[-1]
+
+    monkeypatch.setattr(server_module.checkpoint_module,
+                        "checkpoint_document", recording)
+    rng = random.Random(8)
+    registry = NamespaceRegistry(
+        {name: TenantSpec(name, f"{name}-token-0001")
+         for name in ("alpha", "beta")},
+        admin_token="admin-token-0001",
+    )
+    for name, payload in (("alpha", {"note": "é\"\\x", "n": -0.0}),
+                          ("beta", None)):
+        session = ServerMonitor(16, 2)
+        session.register("closest", 3)
+        session.register("similar", 2, 8)
+        session.ingest([[rng.random(), rng.random()] for _ in range(20)])
+        for values in ([-0.0, 5e-324], [1e-300, 1e100], [0.1, 2.0]):
+            session.monitor.append(values, payload=payload)
+        registry.install(name, session)
+    server = ServeServer(registry)
+    conn = _Connection(None, _Writer(), 4)
+    conn.namespace = registry.get("alpha")
+    conn.admin = True
+    asyncio.run(server._op_checkpoint(conn, frame, 3))
+    (reply,) = conn.writer.frames
+    return reply, documents, list(registry.namespaces())
+
+
+class TestShippedCheckpoint:
+    """A shipped checkpoint (the standby bootstrap) splices the
+    serialized documents into the reply instead of parsing them back:
+    the bytes equal the frame built from the parsed documents."""
+
+    def test_single_namespace_ship(self, monkeypatch):
+        reply, documents, _ = _ship({"op": "checkpoint", "ship": True},
+                                    monkeypatch)
+        ((document, meta),) = documents
+        assert reply == encode_frame(ok_frame(
+            "checkpoint", 3, state=json.loads(document), **meta))
+
+    def test_all_namespaces_ship(self, monkeypatch):
+        reply, documents, namespaces = _ship(
+            {"op": "checkpoint", "ship": True, "scope": "all"}, monkeypatch)
+        assert len(documents) == len(namespaces) == 2
+        states = {ns.name: json.loads(document)
+                  for ns, (document, _) in zip(namespaces, documents)}
+        assert reply == encode_frame(ok_frame(
+            "checkpoint", 3, states=states, namespaces=sorted(states),
+            seconds=json.loads(reply)["seconds"]))
