@@ -195,6 +195,7 @@ class SkybandMaintainer(ABC):
         manager: StreamManager,
         new_objs: Sequence[StreamObject],
         expired: list[StreamObject],
+        candidates: Optional[list[Pair]] = None,
     ) -> SkybandDelta:
         """Process one stream tick: ``expired`` objects leave, then the
         ``new_objs`` arrivals (one or more, oldest first) are merged with
@@ -211,6 +212,13 @@ class SkybandMaintainer(ABC):
         multi-row tick amortizes the merge / Algorithm 4 / PST-diff
         work over its arrivals; throughput vs latency is measured in
         bench_ablation.
+
+        ``candidates``, when given, replaces candidate generation: the
+        pairs, built on this window's objects, that the merge of another
+        maintainer at the same ``K`` kept at this tick from the same
+        state (a warm standby applying its primary's decisions).  The
+        sweep's heap only ever holds kept pairs, so merging just those
+        reproduces that maintainer's skyband, staircase and diff.
         """
         obs = self._obs
         enabled = obs.enabled
@@ -220,13 +228,14 @@ class SkybandMaintainer(ABC):
         if enabled:
             obs.phase("expire", perf_counter() - start)
             start = perf_counter()
-        candidates: list[Pair] = []
-        for new_obj in new_objs:
-            candidates.extend(self._collect_candidates(manager, new_obj))
-        if enabled:
-            obs.phase("generate", perf_counter() - start)
-            obs.on_candidates(len(candidates))
-            start = perf_counter()
+        if candidates is None:
+            candidates = []
+            for new_obj in new_objs:
+                candidates.extend(self._collect_candidates(manager, new_obj))
+            if enabled:
+                obs.phase("generate", perf_counter() - start)
+                obs.on_candidates(len(candidates))
+                start = perf_counter()
         added, removed = self._apply_candidates(candidates)
         if enabled:
             obs.phase("insert", perf_counter() - start)

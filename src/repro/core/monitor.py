@@ -347,6 +347,7 @@ class TopKPairsMonitor:
         *,
         batch_size: Optional[int] = None,
         timestamps: Optional[Iterable[float]] = None,
+        decisions=None,
     ) -> int:
         """Admit many objects; returns the number of rows ingested.
 
@@ -368,6 +369,13 @@ class TopKPairsMonitor:
         The returned count is exact even when ``rows`` is a generator —
         batch consumers (e.g. the :mod:`repro.serve` ingest op) use it to
         acknowledge precisely how many objects entered the stream.
+
+        ``decisions`` (the serving layer's replication hook,
+        :mod:`repro.serve.decisions`) runs each group's maintainer tick
+        in place of the plain call: every tick calls its
+        ``begin_tick()`` once, then ``on_tick(group, manager, arrivals,
+        expired)`` per skyband group, which returns the group's
+        :class:`~repro.core.maintenance.SkybandDelta`.
         """
         normalized = _normalize_rows(rows, timestamps)
         size = max(batch_size or 1, 1)
@@ -376,10 +384,11 @@ class TopKPairsMonitor:
             chunk = list(islice(normalized, size))
             if not chunk:
                 return count
-            self._tick(chunk)
+            self._tick(chunk, decisions)
             count += len(chunk)
 
-    def _tick(self, rows: list[tuple]) -> list[ArrivalEvent]:
+    def _tick(self, rows: list[tuple],
+              decisions=None) -> list[ArrivalEvent]:
         """One stream tick admitting ``rows`` (normalized ``(values,
         timestamp, payload)``, at least one): every skyband group runs
         one maintainer tick and refreshes its continuous queries once."""
@@ -414,8 +423,13 @@ class TopKPairsMonitor:
             obs.phase("window", perf_counter() - tick_start)
             obs.on_window(len(events), len(expired))
         now = manager.now_seq
+        if decisions is not None:
+            decisions.begin_tick()
         for group in self._groups.values():
-            delta = group.maintainer.on_tick(manager, arrived, expired)
+            if decisions is None:
+                delta = group.maintainer.on_tick(manager, arrived, expired)
+            else:
+                delta = decisions.on_tick(group, manager, arrived, expired)
             self._refresh_queries(group, delta, now)
         # One audit per tick — intermediate states are never observable,
         # so there is nothing to check between a tick's rows.

@@ -68,6 +68,7 @@ from repro.obs.httpd import ObsHTTPServer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_SPANS
 from repro.serve import checkpoint as checkpoint_module
+from repro.serve.decisions import DecisionRecorder
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     OPS,
@@ -999,18 +1000,23 @@ class ServeServer:
         """Ingest + replicate + fan out one batch; returns
         ``(count, now_seq, delta_events)``."""
         started = perf_counter()
+        # Standbys merge the primary's skyband decisions instead of
+        # re-running candidate generation, so they are recorded while
+        # any replica listens (docs/serving.md, "Warm standbys").
+        decisions = DecisionRecorder(ns.session) if self._replicas else None
         count, now_seq = ns.session.ingest(
-            rows, timestamps=timestamps, trace=trace,
+            rows, timestamps=timestamps, trace=trace, decisions=decisions,
         )
         self._m_ingested.inc(count)
         self._m_ns_ingested.labels(ns.name).inc(count)
-        if count > 0 and self._replicas:
+        if count > 0 and decisions is not None:
             await self._replicate(ns, {
                 "event": "rows",
                 "first_seq": now_seq - count + 1,
                 "rows": [list(row) for row in rows],
                 "timestamps": (list(timestamps)
                                if timestamps is not None else None),
+                "decisions": decisions.ticks,
             }, count)
         deltas = await self._fan_out_deltas(ns)
         elapsed = perf_counter() - started

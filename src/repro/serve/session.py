@@ -324,6 +324,7 @@ class ServerMonitor:
         *,
         timestamps: Optional[Sequence[float]] = None,
         trace: Optional[str] = None,
+        decisions=None,
     ) -> tuple[int, int]:
         """Admit one op's rows, one engine tick per :attr:`tick_rows` of
         them; returns ``(ingested, now_seq)``.
@@ -342,11 +343,19 @@ class ServerMonitor:
         A non-``None`` ``trace`` runs the op under a ``tick`` span and
         stamps the id onto every delta it produces; the untraced path is
         byte-identical to before tracing existed.
+
+        ``decisions`` runs every group's maintainer tick through a
+        :mod:`repro.serve.decisions` object: a primary with standbys
+        passes a :class:`~repro.serve.decisions.DecisionRecorder` (each
+        tick's kept candidates, for the ``rows`` replication event), a
+        standby a :class:`~repro.serve.decisions.DecisionApplier` (the
+        primary's, merged in place of candidate generation).
         """
         mark = len(self._pending_deltas)
         if trace is None or not self.spans.enabled:
             count = self.monitor.extend(rows, timestamps=timestamps,
-                                        batch_size=self.tick_rows)
+                                        batch_size=self.tick_rows,
+                                        decisions=decisions)
         else:
             self._active_trace = trace
             span = self.spans.span("tick", trace=trace)
@@ -354,7 +363,7 @@ class ServerMonitor:
                 with span:
                     count = self.monitor.extend(
                         rows, timestamps=timestamps,
-                        batch_size=self.tick_rows,
+                        batch_size=self.tick_rows, decisions=decisions,
                     )
                     span.attrs["rows"] = count
                     span.attrs["now_seq"] = self.monitor.manager.now_seq

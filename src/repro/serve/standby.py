@@ -17,14 +17,17 @@ a primary's engine state so failover costs an epoch bump instead of an
 2. **tail** — the bootstrap connection is *detached* from the sync
    client (:meth:`~repro.serve.client.ServeClient.detach`) and adopted
    by a :class:`StandbyTailer` on the standby server's event loop.  The
-   tailer applies every ``rows`` event through the ordinary ingest path
-   (so the maintainer state stays exactly what the primary computes)
-   and every ``register``/``unregister`` event through the ordinary
-   query registry (so a client's query handles mean the same query on
-   both), journals the answer deltas to an optional JSONL delta log,
-   and fans them out to the standby's own subscribers.  Events the
-   checkpoint already covers are skipped; a sequence gap, engine
-   desync, handle mismatch or epoch mismatch raises
+   tailer applies every ``rows`` event through the ordinary ingest path,
+   merging the primary's shipped skyband decisions in place of
+   candidate generation (:mod:`repro.serve.decisions`: the maintainer
+   state stays exactly what the primary computes, and is checked
+   against it after every tick), and every ``register``/``unregister``
+   event through the ordinary query registry (so a client's query
+   handles mean the same query on both), journals the answer deltas to
+   an optional JSONL delta log, and fans them out to the standby's own
+   subscribers.  Events the checkpoint already covers are skipped; a
+   sequence gap, engine desync (a shipped decision this standby cannot
+   apply included), handle mismatch or epoch mismatch raises
    :class:`~repro.exceptions.ReplicationError` — a standby that cannot
    prove it is byte-identical to the primary must not keep serving.
 3. **promote** — the ``promote`` op stops the tailer, bumps the fencing
@@ -47,6 +50,7 @@ from typing import Optional
 from repro.exceptions import ProtocolError, ReplicationError, ServeError
 from repro.serve.checkpoint import restore_server_monitor
 from repro.serve.client import ServeClient
+from repro.serve.decisions import DecisionApplier
 from repro.serve.protocol import encode_frame
 from repro.serve.tenancy import DEFAULT_NAMESPACE, Namespace, NamespaceRegistry
 
@@ -90,6 +94,11 @@ class StandbyTailer:
         self.lag_rows = 0
         self.events_applied = 0
         self.rows_applied = 0
+        #: skyband group ticks whose candidates were the primary's
+        #: shipped decisions, and those computed here (groups the
+        #: primary holds at another K, or does not hold)
+        self.shipped_group_ticks = 0
+        self.computed_group_ticks = 0
         #: set when the feed ended without a stop() — the primary died
         #: or closed; the standby stays alive and promotable
         self.disconnected = False
@@ -135,6 +144,8 @@ class StandbyTailer:
             ),
             "events_applied": self.events_applied,
             "rows_applied": self.rows_applied,
+            "shipped_group_ticks": self.shipped_group_ticks,
+            "computed_group_ticks": self.computed_group_ticks,
             "lag_rows": self.lag_rows,
             "tailing": not (self._stopped or self._finished),
             "disconnected": self.disconnected,
@@ -290,26 +301,33 @@ class StandbyTailer:
         ns = self._namespace_for(event, first - 1)
         name, session = ns.name, ns.session
         timestamps = event.get("timestamps")
+        decisions = event.get("decisions")
         applied = session.monitor.manager.now_seq
         self._note_lag(ns, now)
         if now <= applied:
             return  # the shipped checkpoint already covered this batch
         if first <= applied:
             # Partial overlap with the checkpoint: drop the covered
-            # prefix, apply the rest.
+            # prefix, apply the rest.  Its ticks no longer line up with
+            # the primary's, so every group computes its candidates.
             skip = applied - first + 1
             rows = rows[skip:]
             if timestamps is not None:
                 timestamps = timestamps[skip:]
             first = applied + 1
+            decisions = None
         if first != applied + 1:
             raise ReplicationError(
                 f"replication gap: namespace {name!r} applied up to seq "
                 f"{applied} but the next event starts at seq {first}"
             )
-        count, now_seq = session.ingest(rows, timestamps=timestamps)
+        applier = DecisionApplier(session, decisions, len(rows))
+        count, now_seq = session.ingest(rows, timestamps=timestamps,
+                                        decisions=applier)
         self.events_applied += 1
         self.rows_applied += count
+        self.shipped_group_ticks += applier.shipped_group_ticks
+        self.computed_group_ticks += applier.computed_group_ticks
         if now_seq != now:
             raise ReplicationError(
                 f"replication desync: the primary reached seq {now} "

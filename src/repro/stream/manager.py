@@ -135,6 +135,12 @@ class StreamManager:
         """The skip-list node of ``obj`` in the list of ``attribute``."""
         return self._nodes[obj.seq][attribute]
 
+    def object_at(self, seq: int) -> Optional[StreamObject]:
+        """The window object with sequence number ``seq``, or ``None``
+        when no such object is in the window."""
+        nodes = self._nodes.get(seq)
+        return nodes[0].value if nodes is not None else None
+
     def seed_sequence(self, next_seq: int) -> None:
         """Fast-forward the arrival counter so the *next* appended object
         gets sequence number ``next_seq``.

@@ -37,7 +37,8 @@ SERVE = {"protocol", "role", "epoch", "backpressure", "queue_depth",
 HEALTH = {"status", "flight", "protocol", "role", "window_size",
           "last_tick_age_seconds", "connections", "subscribers", "queries"}
 STANDBY = {"primary", "applied_seq", "events_applied", "rows_applied",
-           "lag_rows", "tailing", "disconnected", "error", "delta_log"}
+           "lag_rows", "tailing", "disconnected", "error", "delta_log",
+           "shipped_group_ticks", "computed_group_ticks"}
 
 #: (mode, reply) -> the exact key set of that reply
 SHAPES = {

@@ -306,6 +306,13 @@ def rows_event(first_seq, count, **extra):
             **extra}
 
 
+def decided(scoring="closest", K=3, added=(), size=0, digest=0):
+    """A two-row op's shipped decisions: one tick, one group."""
+    return {"decisions": [[{"scoring": scoring, "K": K,
+                            "added": [list(pair) for pair in added],
+                            "size": size, "digest": digest}]]}
+
+
 #: crafted feed event -> (error substring or None, handles afterwards)
 CRAFTED = {
     "register_held_same_spec": (
@@ -335,7 +342,34 @@ CRAFTED = {
     "unknown_namespace_on_open_registry": (
         query_event("register", Q2, now_seq=0, namespace="ghost"),
         "cannot create namespace", ["q1"]),
+    # Shipped skyband decisions (docs/serving.md, "Warm standbys and
+    # failover").
+    "decisions_seq_outside_window": (
+        rows_event(11, 2, **decided(added=[(500, 12, 0.1)])),
+        "outside this standby's window", ["q1"]),
+    "decisions_pair_not_kept": (
+        rows_event(11, 2, **decided(added=[(1, 12, 1e9)])),
+        "kept 0 of the 1 pair", ["q1"]),
+    "decisions_digest_differs": (
+        rows_event(11, 2, **decided()), "digest", ["q1"]),
+    "decisions_tick_count_differs": (
+        rows_event(11, 2, decisions=[[], []]),
+        "decided 2 tick", ["q1"]),
+    "decisions_malformed_pair": (
+        rows_event(11, 2, **decided(added=[(1, 12)])),
+        "malformed decisions", ["q1"]),
+    "decisions_other_K_computed_here": (
+        rows_event(11, 2, **decided(K=4)), None, ["q1"]),
+    "decisions_for_a_group_not_held": (
+        rows_event(11, 2, **decided(scoring="furthest")), None, ["q1"]),
 }
+
+#: the standby's seq after a crafted event that reached the engine
+APPLIED = {case: 12 for case in CRAFTED
+           if case.startswith("decisions_") and "tick_count" not in case}
+#: crafted events whose one group tick computed its candidates here
+COMPUTED = {"decisions_other_K_computed_here",
+            "decisions_for_a_group_not_held"}
 
 
 @pytest.mark.parametrize("case", sorted(CRAFTED))
@@ -351,4 +385,6 @@ def test_crafted_feed_events(case):
     finally:
         tailer.stop()  # closes the feed socket
     assert [record.handle_id for record in session.queries()] == handles
-    assert session.monitor.manager.now_seq == 10
+    assert session.monitor.manager.now_seq == APPLIED.get(case, 10)
+    assert (tailer.shipped_group_ticks, tailer.computed_group_ticks) == \
+        (0, int(case in COMPUTED))
