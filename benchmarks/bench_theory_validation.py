@@ -5,7 +5,9 @@ expectations: the K-skyband holds ``O(K log(N/K))`` pairs (Theorem 3) and
 each arrival adds only ``O(K)`` non-dominated pairs (Lemma 2).  These
 benchmarks measure both on uniform streams (whose scores are independent
 of ages, the analysis' assumption) and check the measured values stay
-within small constant factors of the closed forms.
+within small constant factors of the closed forms.  Theorem 3's exact
+sum (``repro.analysis.theory``) tracks the measured size within a few
+per cent, so that check is a +-10 % band.
 """
 
 from __future__ import annotations
@@ -42,12 +44,12 @@ def _measured_skyband_sizes(N, K, samples=40):
 def run_theorem3():
     K = PaperParameters.K_DEFAULT
     x_values = PaperParameters.N_SWEEP
-    series = {"measured": [], "K+K(H_N-H_sqrtK)": []}
+    series = {"measured": [], "sum min(x-1,2K/x)": []}
     for N in x_values:
         series["measured"].append(
             statistics.fmean(_measured_skyband_sizes(N, K))
         )
-        series["K+K(H_N-H_sqrtK)"].append(expected_skyband_size(K, N))
+        series["sum min(x-1,2K/x)"].append(expected_skyband_size(K, N))
     print_figure(
         f"Theorem 3: K-skyband size vs N (K={K}, uniform)", "N",
         x_values, series, unit="pairs",
@@ -59,7 +61,7 @@ def run_lemma2():
     N = PaperParameters.N_DEFAULT
     x_values = PaperParameters.K_SWEEP
     ticks = PaperParameters.TICKS
-    series = {"measured": [], "sqrtK + K*C": []}
+    series = {"measured": [], "sum min(1,K/C(x,2))": []}
     for K in x_values:
         sf = k_closest_pairs(2)
         manager = StreamManager(N, 2)
@@ -75,7 +77,8 @@ def run_lemma2():
             maintainer.on_tick(manager, (event.new,), event.expired)
         # pairs that survived the staircase dominance test, per arrival
         series["measured"].append(counters.candidate_pairs / ticks)
-        series["sqrtK + K*C"].append(expected_new_skyband_pairs(K, N))
+        series["sum min(1,K/C(x,2))"].append(
+            expected_new_skyband_pairs(K, N))
     print_figure(
         f"Lemma 2: new non-dominated pairs per arrival (N={N})", "K",
         x_values, series, unit="pairs/arrival",
@@ -86,8 +89,10 @@ def run_lemma2():
 def test_skyband_size_matches_theory(benchmark):
     x_values, series = benchmark.pedantic(run_theorem3, rounds=1, iterations=1)
     for measured, predicted in zip(series["measured"],
-                                   series["K+K(H_N-H_sqrtK)"]):
-        assert predicted / 4 <= measured <= predicted * 4
+                                   series["sum min(x-1,2K/x)"]):
+        # measured/predicted read 0.945-1.026 at full scale and
+        # 0.988-1.020 at REPRO_BENCH_SCALE=0.2
+        assert 0.9 * predicted <= measured <= 1.1 * predicted
     # Growth in N is logarithmic: quadrupling N far less than doubles size.
     assert series["measured"][-1] < 2 * series["measured"][0]
 

@@ -2,12 +2,18 @@
 
 * Lemma 1 — a pair of age ``x`` is in the K-skyband with probability
   ``min(K / x^2, 1)`` (scores independent of ages);
-* Theorem 3 — the expected K-skyband size is ``O(K log(N/K))``, derived
-  via ``K + K (H_N - H_sqrt(K))``;
+* Theorem 3 — the expected K-skyband size is ``O(K log(N/K))``;
 * Lemma 2 — the expected number of new pairs per arrival not dominated by
-  the skyband is ``O(K)`` (``~ sqrt(K) + K * pi^2/6`` before truncation);
+  the skyband is ``O(K)``;
 * §V-B.2 — the TA maintenance examines
   ``M = (d+1) N^{d/(d+1)} K^{1/(d+1)}`` pairs in expectation (Fagin).
+
+The paper counts ``x^2`` pairs of age at most ``x``; only ``C(x, 2) =
+x (x - 1) / 2`` exist, so with i.i.d. scores a pair of age ``x`` is a
+member with probability ``min(1, K / C(x, 2))``.  The two yardsticks
+below use that exact count: the asymptotic claims stand, and the
+constants are the ones a healthy uniform stream measures
+(EXPERIMENTS.md, "Theorem 3 / Lemma 2").
 
 The theory-validation benchmark compares these against measurements.
 """
@@ -44,30 +50,43 @@ def skyband_membership_probability(K: int, age: int) -> float:
     return min(K / float(age * age), 1.0)
 
 
+def _full_ages(K: int) -> int:
+    """The largest age ``y`` whose pairs are all members: the largest
+    ``x`` with ``C(x, 2) <= K``, i.e. ``(2x - 1)^2 <= 1 + 8K``."""
+    return (1 + math.isqrt(1 + 8 * K)) // 2
+
+
 def expected_skyband_size(K: int, N: int) -> float:
-    """Theorem 3's estimate ``sum_{x=2}^{N} x * min(K/x^2, 1)``, in its
-    closed ``K + K (H_N - H_y)`` form with ``y = floor(sqrt(K))``."""
+    """Theorem 3: ``sum_{x=2}^{N} min(x - 1, 2K / x)``.
+
+    ``x - 1`` window pairs have age exactly ``x``, each a member with
+    probability ``min(1, K / C(x, 2))``; below ``y = _full_ages(K)``
+    every pair is a member, above it the terms are ``2K / x``, which
+    gives ``C(y, 2) + 2K (H_N - H_y)`` and so ``O(K log(N/K))``.
+    """
     if K < 1 or N < 2:
         raise ValueError(f"need K >= 1 and N >= 2, got K={K}, N={N}")
-    y = max(1, int(math.isqrt(K)))
-    return K + K * (harmonic(N) - harmonic(y))
+    y = _full_ages(K)
+    if N <= y:
+        return N * (N - 1) / 2
+    return y * (y - 1) / 2 + 2 * K * (harmonic(N) - harmonic(y))
 
 
 def expected_new_skyband_pairs(K: int, N: int | None = None) -> float:
-    """Lemma 2: expected new non-dominated pairs per arrival.
+    """Lemma 2: ``sum_{x=2}^{N} min(1, K / C(x, 2))`` new members per
+    arrival, one partner of each age ``x``.
 
-    ``sum_{x=2}^{N} min(K/x^2, 1) ~ sqrt(K) + K * (pi^2/6 truncated)``;
-    with ``N`` given the tail is truncated exactly.
+    Past ``y = _full_ages(K)`` the terms ``2K (1/(x-1) - 1/x)``
+    telescope, to ``(y - 1) + 2K (1/y - 1/N)``; with ``N=None`` the
+    infinite tail gives ``(y - 1) + 2K / y``, which is ``O(K)``.
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
-    y = max(1, int(math.isqrt(K)))
-    basel = math.pi * math.pi / 6.0
-    head = sum(1.0 / (x * x) for x in range(1, y + 1))
-    tail = basel - head
-    if N is not None:
-        tail -= max(0.0, 1.0 / N)  # crude truncation of the far tail
-    return y + K * max(0.0, tail)
+    y = _full_ages(K)
+    if N is not None and N <= y:
+        return float(max(0, N - 1))
+    tail = 1.0 / y - (1.0 / N if N is not None else 0.0)
+    return (y - 1) + 2 * K * tail
 
 
 def ta_access_bound(d: int, N: int, K: int) -> float:

@@ -15,8 +15,8 @@ path (coalesced expiry + seeded suffix re-sweep):
 
 Each workload reports uninstrumented ticks/sec (best of ``repeats``)
 plus p50/p99 tick latency, a per-phase time breakdown and the
-eviction / sweep / apply-path counts from an instrumented run
-(:class:`~repro.obs.MetricsRecorder` tick trace).
+eviction / sweep / apply-path / PST insert and rebuild counts from an
+instrumented run (:class:`~repro.obs.MetricsRecorder` tick trace).
 
 Results go to ``BENCH_throughput.json``; see docs/performance.md for how
 to read them.  ``REPRO_BENCH_SCALE`` shrinks or grows every stream (CI
@@ -100,7 +100,8 @@ def _percentile(sorted_values: list[float], fraction: float) -> float:
 
 def _instrumented_stats(rows, k, d, *, window, horizon) -> dict:
     """p50/p99 tick latency, per-phase µs/tick and maintenance counts
-    from an instrumented run."""
+    (evictions, sweeps, apply paths, PST inserts and rebuilds) from an
+    instrumented run."""
     recorder = MetricsRecorder()
     monitor, handle = _build_monitor(
         k, d, window=window, horizon=horizon, recorder=recorder
@@ -133,6 +134,8 @@ def _instrumented_stats(rows, k, d, *, window, horizon) -> dict:
             ),
             "sweep": registry.value("repro_apply_path_total", "sweep"),
         },
+        "pst_inserts": registry.value("repro_pst_inserts_total"),
+        "pst_rebuilds": registry.value("repro_pst_rebuilds_total"),
     }
 
 

@@ -67,7 +67,13 @@ from operator import attrgetter
 from time import perf_counter
 from typing import Optional, Sequence
 
-from repro.core.pair import Pair, dominates, make_pair, pair_score_key
+from repro.core.pair import (
+    _UID_SHIFT,
+    Pair,
+    dominates,
+    make_pair,
+    pair_score_key,
+)
 from repro.core.skyband_update import (
     sweep_skyband,
     update_skyband_and_staircase,
@@ -552,98 +558,95 @@ class TAMaintainer(SkybandMaintainer):
         scoring_function = self.scoring_function
         terms = scoring_function.terms
         num_terms = len(terms)
-        local_sources = [
+        # The d local lists, then the age list: one access of each per
+        # round (Algorithm 5's round robin).
+        sources = [
             iter_pairs_by_local_score(manager, new_obj, attr, fn)
             for attr, fn in terms
         ]
-        age_source = iter_pairs_by_age(manager, new_obj)
+        sources.append(iter_pairs_by_age(manager, new_obj))
         last_local: list[Optional[float]] = [None] * num_terms
         last_age_key: Optional[int] = None
         initialized = False
         seen: set[int] = set()
         candidates: list[Pair] = []
-        dominates = self._staircase.dominates
+        stair_keys, stair_ages = self._staircase.key_lists()
         combine = scoring_function.combine
-        consider = self._consider
-        counters = self.counters
+        score = scoring_function.score
+        keep = self.pair_filter
         adaptive = self.schedule == "adaptive"
         every_term = range(num_terms)
+        every_source = range(num_terms + 1)
+        new_seq = new_obj.seq
+        threshold_tests = filter_calls = 0
+        done = False
 
-        while True:
+        while not done:
             # Once every source has reported a frontier, it stays set.
             initialized = initialized or (
                 last_age_key is not None and None not in last_local
             )
-            indices = every_term
+            indices = every_source
             if initialized:
-                if counters is not None:
-                    counters.staircase_checks += 1
-                if dominates(
-                    (combine(last_local), -math.inf, -math.inf), last_age_key
-                ):
-                    break
+                threshold_tests += 1
+                idx = bisect_left(
+                    stair_keys, (combine(last_local), -math.inf, -math.inf)
+                )
+                if idx and stair_ages[idx - 1] <= last_age_key:
+                    break  # the staircase dominates every unseen pair
                 if adaptive:
                     # Advance only the local list currently holding the
                     # threshold down — the one with the smallest frontier
                     # score — instead of all d lists (§V-B extension).
-                    indices = (min(every_term, key=last_local.__getitem__),)
-            exhausted = False
+                    indices = (min(every_term, key=last_local.__getitem__),
+                               num_terms)
             for i in indices:
-                item = next(local_sources[i], None)
+                item = next(sources[i], None)
                 if item is None:
                     # Every list enumerates all partners, so one exhausted
                     # list means every pair has been examined.
-                    exhausted = True
+                    done = True
                     break
-                partner, last_local[i] = item
-                consider(new_obj, partner, seen, candidates)
-            if exhausted:
-                break
-            partner = next(age_source, None)
-            if partner is None:
-                break
-            if partner.seq < new_obj.seq:
-                last_age_key = -partner.seq
-                consider(new_obj, partner, seen, candidates)
-            # Newer partners (a multi-row tick) are skipped: their
-            # pairs belong to the newer member's own collection pass, and
-            # leaving last_age_key untouched only weakens the threshold
-            # conservatively.
-        return candidates
-
-    def _consider(
-        self,
-        new_obj: StreamObject,
-        partner: StreamObject,
-        seen: set[int],
-        candidates: list[Pair],
-    ) -> None:
-        """Score and dominance-check one (possibly repeated) pair access."""
-        seq = partner.seq
-        if seq >= new_obj.seq or seq in seen:
-            return
-        seen.add(seq)
+                if i < num_terms:
+                    partner, last_local[i] = item
+                    seq = partner.seq
+                else:
+                    partner = item
+                    seq = partner.seq
+                    if seq < new_seq:
+                        last_age_key = -seq
+                    # A newer partner (a multi-row tick) leaves the age
+                    # frontier alone, which only weakens the threshold.
+                if seq >= new_seq or seq in seen:
+                    # A newer partner's pair is its newer member's to
+                    # collect; a partner seen on another list is scored.
+                    continue
+                seen.add(seq)
+                value = score(new_obj, partner)
+                # KStaircase.dominates on the raw key pair_score_key(value,
+                # seq, new_seq): most accessed pairs are dominated, so a
+                # Pair is built only for the survivors.
+                idx = bisect_left(
+                    stair_keys, (value, -seq, (seq << _UID_SHIFT) | new_seq)
+                )
+                if idx and stair_ages[idx - 1] <= -seq:
+                    continue
+                if keep is not None:
+                    # As in SCase: prune on the cheap dominance test
+                    # before paying the user-supplied filter.
+                    filter_calls += 1
+                    if not keep(new_obj, partner):
+                        continue
+                candidates.append(Pair(new_obj, partner, value))
         counters = self.counters
         if counters is not None:
-            counters.score_evaluations += 1
-            counters.pairs_considered += 1
-            counters.staircase_checks += 1
-        score = self.scoring_function.score(new_obj, partner)
-        # Test the staircase on the raw key: most considered pairs are
-        # dominated, so a Pair is built only for the survivors.
-        key = pair_score_key(score, seq, new_obj.seq)
-        if self._staircase.dominates(key, key[1]):
-            # As in SCase: prune on the cheap dominance test before
-            # paying the user-supplied filter.
-            return
-        if self.pair_filter is not None:
-            if counters is not None:
-                counters.pair_filter_calls += 1
-            if not self.pair_filter(new_obj, partner):
-                return
-        candidates.append(Pair(new_obj, partner, score))
-        if counters is not None:
-            counters.candidate_pairs += 1
+            considered = len(seen)  # each scored pair entered seen once
+            counters.score_evaluations += considered
+            counters.pairs_considered += considered
+            counters.staircase_checks += considered + threshold_tests
+            counters.pair_filter_calls += filter_calls
+            counters.candidate_pairs += len(candidates)
+        return candidates
 
 
 def _merge_by_score(a: list[Pair], b: list[Pair]) -> list[Pair]:

@@ -57,6 +57,12 @@ class KStaircase:
         """
         return list(zip(self._score_keys[:count], self._age_keys[:count]))
 
+    def key_lists(self) -> tuple[list[Any], list[int]]:
+        """The points' score keys and age thresholds as two parallel
+        lists (do not mutate), for a hot loop that inlines
+        :meth:`dominates` as one ``bisect_left``."""
+        return self._score_keys, self._age_keys
+
     def dominates(self, score_key: Any, age_key: int) -> bool:
         """Whether the K-skyband (via this staircase) dominates the point
         ``(score_key, age_key)`` — i.e. at least K skyband pairs do.

@@ -116,6 +116,32 @@ _CLOSE = object()  # event-queue sentinel terminating a writer task
 #: what a lagged subscriber's delta frame ends with in place of ``}\n``
 _LAGGED_TAIL = b',"lagged":true}\n'
 
+#: bytes one ``recv_into`` can take on a client connection
+RECV_BUFFER_BYTES = 64 * 1024
+
+
+class _RecvIntoProtocol(asyncio.StreamReaderProtocol,
+                        asyncio.BufferedProtocol):
+    """A stream protocol that receives into one reused buffer.
+
+    Without it the selector transport ``recv``s every receive into a
+    fresh 256 KiB bytes object and shrinks it to the bytes received.
+    What that costs depends on the C heap's state, which unrelated code
+    changes shift, so timed reads moved between trees that did the same
+    work (docs/performance.md, "Read latency and start-up layout").
+    The stream reader gets the same bytes either way.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._recv_buffer = memoryview(bytearray(RECV_BUFFER_BYTES))
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._recv_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(bytes(self._recv_buffer[:nbytes]))
+
 
 class _Connection:
     """Per-connection state: writer, subscriptions, event queue."""
@@ -520,9 +546,17 @@ class ServeServer:
         on the same event loop, sharing the server's registry, span
         ring, flight recorder and tick log.
         """
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port,
-            limit=self.max_frame_bytes,
+        loop = asyncio.get_running_loop()
+
+        def connection_protocol() -> _RecvIntoProtocol:
+            # asyncio.start_server's wiring, with the buffered protocol
+            reader = asyncio.StreamReader(limit=self.max_frame_bytes,
+                                          loop=loop)
+            return _RecvIntoProtocol(reader, self._handle_connection,
+                                     loop=loop)
+
+        self._server = await loop.create_server(
+            connection_protocol, self.host, self.port,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.obs_port is not None:

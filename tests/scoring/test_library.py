@@ -4,9 +4,10 @@ function, §VI-A)."""
 from __future__ import annotations
 
 import math
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.scoring.library import (
@@ -57,6 +58,67 @@ class TestS1ToS4Definitions:
         a, b = obj(1, *x), obj(2, *y)
         want = -math.prod(abs(xi - yi) for xi, yi in zip(x, y))
         assert math.isclose(top_k_dissimilar_pairs(3).score(a, b), want)
+
+
+#: signed zeros, the smallest subnormal, tiny, huge and integral values
+_EDGE = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+     1.0, -1.0, 2.0, 3.0, 1e16, 0.1])
+_VALUE = st.one_of(_EDGE, st.floats(-1e6, 1e6),
+                   st.integers(-9, 9).map(float))
+_LIBRARY = [k_closest_pairs, k_furthest_pairs, top_k_similar_pairs,
+            top_k_dissimilar_pairs]
+
+
+@st.composite
+def _rows(draw):
+    """``(d, a_values, b_values)``: up to two attributes past ``d``, and
+    ``b`` a random row, ``a`` repeated or all zeros (so the distances
+    are ``a``'s values exactly)."""
+    d = draw(st.integers(1, 3))
+    width = d + draw(st.integers(0, 2))
+    row = st.lists(_VALUE, min_size=width, max_size=width)
+    a_values = draw(row)
+    b_values = draw(st.one_of(row, st.just(a_values),
+                              st.just([0.0] * width)))
+    return d, a_values, b_values
+
+
+class TestFusedScoreIsTheComposition:
+    """s1..s4 score without per-term Python calls; the result must be
+    bit-identical to the generic term-by-term composition, signed zeros
+    included (scores reach the wire)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rows())
+    # equal rows: s2 is fsum([-0.0, -0.0]) == 0.0, not -0.0
+    @example((2, [0.25, -0.0], [0.25, -0.0]))
+    # fsum rounds once: -1e16 - 1 - 1 added pairwise reads -1e16
+    @example((3, [1e16, 1.0, 1.0], [0.0, 0.0, 0.0]))
+    def test_bit_identical(self, rows):
+        d, a_values, b_values = rows
+        a, b = obj(1, *a_values), obj(2, *b_values)
+        for make in _LIBRARY:
+            fn = make(d)
+            want = fn.combiner.combine(
+                [local.score(a.values[i], b.values[i])
+                 for i, local in fn.terms])
+            got = fn.score(a, b)
+            assert struct.pack("d", got) == struct.pack("d", want), (
+                fn.name, a_values, b_values, got, want)
+
+    def test_equal_rows_keep_furthest_zero_positive(self):
+        a, b = obj(1, 0.5, 0.25), obj(2, 0.5, 0.25)
+        assert struct.pack("d", k_furthest_pairs(2).score(a, b)) == \
+            struct.pack("d", 0.0)
+        assert struct.pack("d", top_k_dissimilar_pairs(2).score(a, b)) == \
+            struct.pack("d", -0.0)
+
+    def test_extra_attributes_ignored(self):
+        a, b = obj(1, 0.5, 0.25, 9.0), obj(2, 0.0, 0.0, -9.0)
+        for make in _LIBRARY:
+            assert make(2).score(a, b) == make(2).score(
+                obj(1, 0.5, 0.25), obj(2, 0.0, 0.0))
 
 
 class TestSuite:

@@ -113,6 +113,23 @@ class TestOversizedFrames:
                 assert client.request("stats")["ok"] is True
 
 
+class TestReceiveBuffer:
+    def test_frame_spanning_receives_arrives_whole(self, server):
+        """The server receives into one reused buffer: a frame longer
+        than it, sent together with the next frame, still arrives whole
+        and in order."""
+        sock, f = raw_connection(server)
+        rows = [[0.5, 0.25]] * 12000
+        big = json.dumps({"op": "ingest", "rows": rows, "id": 1}).encode()
+        assert len(big) > 2 * server_module.RECV_BUFFER_BYTES
+        f.write(big + b'\n{"op":"stats","id":2}\n')
+        f.flush()
+        ack = json.loads(f.readline())
+        assert (ack["id"], ack["ingested"]) == (1, 12000)
+        assert json.loads(f.readline())["id"] == 2
+        sock.close()
+
+
 class TestDisconnects:
     def test_mid_frame_disconnect_leaves_server_alive(self, server):
         sock, f = raw_connection(server)

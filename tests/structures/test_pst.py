@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pair import window_age_key_bound
+from repro.core.pair import Pair, window_age_key_bound
 from repro.exceptions import ItemNotFoundError
-from repro.structures.pst import PrioritySearchTree
+from repro.obs import MetricsRecorder
+from repro.serve.session import ServerMonitor
+from repro.stream.object import StreamObject
+from repro.structures.pst import ALPHA, PrioritySearchTree
 
 from tests.conftest import make_pair_at
 
@@ -250,6 +254,75 @@ class TestDynamicOperations:
                 pst.delete(gone)
             want = min(alive, key=lambda p: p.score_key)
             assert pst.min_score_point().uid == want.uid
+
+
+class TestRebuildRule:
+    """Scapegoat rebuilds run only on inserts that land deep."""
+
+    def test_skyband_churn(self):
+        """Skyband-shaped churn: every insert carries the newest age key
+        (so it sifts down from the root), deletes hit random members, and
+        the size climbs from 1 to 400 and falls back to 1.
+
+        After every operation the tree holds its invariants, answers
+        Algorithm 2 like a brute-force selection, and has at most
+        ``1 + log(max(2m, m + 8)) / log(1/ALPHA)`` levels for ``m``
+        points: an insert leaves every leaf within ``log(m') /
+        log(1/ALPHA)`` edges of the root (``m'`` its size then), and the
+        deletion rule keeps ``m' <= max(2m, m + 8)`` until the next full
+        rebuild (pst.py's module docstring has the argument).
+        """
+        rng = random.Random(41)
+        pst = PrioritySearchTree()
+        alive: list[Pair] = []
+        older_seq = 0
+        growing = True
+        step = 0
+        while growing or len(alive) > 1:
+            step += 1
+            growing = growing and len(alive) < 400
+            if not alive or rng.random() < (0.8 if growing else 0.2):
+                older_seq += rng.random() < 0.8  # equal age keys now and then
+                pair = Pair(StreamObject(older_seq, (0.0,)),
+                            StreamObject(10_000 + step, (0.0,)),
+                            rng.choice((rng.random(), 0.5)))
+                pst.insert(pair)
+                alive.append(pair)
+            else:
+                pst.delete(alive.pop(rng.randrange(len(alive))))
+            pst.check_invariants()
+            size = len(alive)
+            assert len(pst) == size
+            if size:
+                bound = 1 + math.log(max(2 * size, size + 8)) / -math.log(ALPHA)
+                assert pst.height() <= bound, (step, size, pst.height())
+            by_score = sorted(alive, key=lambda p: p.score_key)
+            for k, age_key in ((1, -older_seq), (5, -older_seq // 2),
+                               (20, -older_seq // 2), (50, 0)):
+                want = [p for p in by_score if p.age_key <= age_key][:k]
+                assert_same_pairs(pst.top_k(k, age_key), want)
+
+    def test_served_rebuild_rate(self):
+        """A seeded stream of 4-row ops with perfbench ``ingest_fanout``'s
+        four queries: at most one PST insert in 20 triggers a rebuild
+        (testing balance at every node of every insert path rebuilt
+        after about one in five)."""
+        rng = random.Random(7)
+        recorder = MetricsRecorder(trace=False)
+        session = ServerMonitor(256, 2, recorder=recorder)
+        session.ingest([[rng.random(), rng.random()] for _ in range(256)])
+        for scoring, k, n in (("closest", 5, None), ("closest", 20, 256),
+                              ("furthest", 10, None), ("similar", 5, None)):
+            session.register(scoring, k, n)
+        registry = recorder.registry
+        inserts = registry.value("repro_pst_inserts_total")
+        rebuilds = registry.value("repro_pst_rebuilds_total")
+        for _ in range(100):
+            session.ingest([[rng.random(), rng.random()] for _ in range(4)])
+        inserts = registry.value("repro_pst_inserts_total") - inserts
+        rebuilds = registry.value("repro_pst_rebuilds_total") - rebuilds
+        assert inserts > 4000
+        assert rebuilds / inserts < 0.05, (rebuilds, inserts)
 
 
 @settings(max_examples=40, deadline=None)
