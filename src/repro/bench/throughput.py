@@ -16,7 +16,10 @@ path (coalesced expiry + seeded suffix re-sweep):
 Each workload reports uninstrumented ticks/sec (best of ``repeats``)
 plus p50/p99 tick latency, a per-phase time breakdown and the
 eviction / sweep / apply-path / PST insert and rebuild counts from an
-instrumented run (:class:`~repro.obs.MetricsRecorder` tick trace).
+instrumented run (:class:`~repro.obs.MetricsRecorder` tick trace), and
+TA's work as counts from a :class:`~repro.obs.Counters` on that run:
+partners scored against the ``scan_pairs`` an Algorithm 3 scan would
+score.
 
 Results go to ``BENCH_throughput.json``; see docs/performance.md for how
 to read them.  ``REPRO_BENCH_SCALE`` shrinks or grows every stream (CI
@@ -31,7 +34,7 @@ from time import perf_counter
 from repro.bench.harness import SCALE, PaperParameters, synthetic_rows
 from repro.bench.reporting import stamp_result
 from repro.core.monitor import TopKPairsMonitor
-from repro.obs import MetricsRecorder
+from repro.obs import Counters, MetricsRecorder
 from repro.scoring.library import k_closest_pairs
 
 __all__ = [
@@ -71,10 +74,11 @@ def expiry_heavy_rows(
     return rows
 
 
-def _build_monitor(k: int, d: int, *, window, horizon,
-                   recorder=None) -> tuple[TopKPairsMonitor, object]:
+def _build_monitor(k: int, d: int, *, window, horizon, recorder=None,
+                   counters=None) -> tuple[TopKPairsMonitor, object]:
     monitor = TopKPairsMonitor(
-        window, d, time_horizon=horizon, recorder=recorder
+        window, d, time_horizon=horizon, recorder=recorder,
+        counters=counters,
     )
     handle = monitor.register_query(k_closest_pairs(d), k=k)
     return monitor, handle
@@ -100,11 +104,13 @@ def _percentile(sorted_values: list[float], fraction: float) -> float:
 
 def _instrumented_stats(rows, k, d, *, window, horizon) -> dict:
     """p50/p99 tick latency, per-phase µs/tick and maintenance counts
-    (evictions, sweeps, apply paths, PST inserts and rebuilds) from an
-    instrumented run."""
+    (evictions, sweeps, apply paths, PST inserts and rebuilds, TA's
+    partners scored and skyband inserts) from an instrumented run."""
     recorder = MetricsRecorder()
+    counters = Counters()
     monitor, handle = _build_monitor(
-        k, d, window=window, horizon=horizon, recorder=recorder
+        k, d, window=window, horizon=horizon, recorder=recorder,
+        counters=counters,
     )
     monitor.extend(rows)
     monitor.results(handle)
@@ -136,6 +142,13 @@ def _instrumented_stats(rows, k, d, *, window, horizon) -> dict:
         },
         "pst_inserts": registry.value("repro_pst_inserts_total"),
         "pst_rebuilds": registry.value("repro_pst_rebuilds_total"),
+        "pairs_considered": counters.pairs_considered,
+        "skyband_inserts": counters.skyband_inserts,
+        "partners_per_skyband_insert": (
+            counters.pairs_considered / max(1, counters.skyband_inserts)
+        ),
+        # every tick admits one row, which a scan pairs with all others
+        "scan_pairs": sum(event.window_occupancy - 1 for event in events),
     }
 
 

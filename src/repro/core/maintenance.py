@@ -59,7 +59,6 @@ reference-sweep oracle.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from heapq import nsmallest
@@ -68,7 +67,6 @@ from time import perf_counter
 from typing import Optional, Sequence
 
 from repro.core.pair import (
-    _UID_SHIFT,
     Pair,
     dominates,
     make_pair,
@@ -570,7 +568,12 @@ class TAMaintainer(SkybandMaintainer):
         initialized = False
         seen: set[int] = set()
         candidates: list[Pair] = []
-        stair_keys, stair_ages = self._staircase.key_lists()
+        staircase = self._staircase
+        # bounds[seq - first]: the score above which the staircase
+        # dominates a pair whose older member is seq (KStaircase
+        # .score_bounds); equal scores compare full keys.
+        first = manager.oldest().seq
+        bounds = staircase.score_bounds(first, manager.now_seq)
         combine = scoring_function.combine
         score = scoring_function.score
         keep = self.pair_filter
@@ -589,10 +592,8 @@ class TAMaintainer(SkybandMaintainer):
             indices = every_source
             if initialized:
                 threshold_tests += 1
-                idx = bisect_left(
-                    stair_keys, (combine(last_local), -math.inf, -math.inf)
-                )
-                if idx and stair_ages[idx - 1] <= last_age_key:
+                # The threshold key (c, -inf, -inf) loses every tie.
+                if combine(last_local) > bounds[-last_age_key - first]:
                     break  # the staircase dominates every unseen pair
                 if adaptive:
                     # Advance only the local list currently holding the
@@ -623,13 +624,11 @@ class TAMaintainer(SkybandMaintainer):
                     continue
                 seen.add(seq)
                 value = score(new_obj, partner)
-                # KStaircase.dominates on the raw key pair_score_key(value,
-                # seq, new_seq): most accessed pairs are dominated, so a
-                # Pair is built only for the survivors.
-                idx = bisect_left(
-                    stair_keys, (value, -seq, (seq << _UID_SHIFT) | new_seq)
-                )
-                if idx and stair_ages[idx - 1] <= -seq:
+                # Most accessed pairs are dominated, so a Pair is built
+                # only for the survivors.
+                bound = bounds[seq - first]
+                if value > bound or value == bound and staircase.dominates(
+                        pair_score_key(value, seq, new_seq), -seq):
                     continue
                 if keep is not None:
                     # As in SCase: prune on the cheap dominance test

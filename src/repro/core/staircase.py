@@ -14,11 +14,20 @@ A query point with key ``q_key`` and age ``q_age_key`` is dominated iff
 the staircase point with the largest ``score_key < q_key`` has
 ``age_key <= q_age_key`` (that point carries the smallest age threshold
 among all eligible ones, so no other needs checking).
+
+Equivalently, since the thresholds never increase, the points whose
+threshold admits a pair whose older member is ``seq`` (``age_key <=
+-seq``) form a suffix of the staircase, and the pair is dominated iff
+its key exceeds that suffix's first key.  That point depends on ``seq``
+alone, so :meth:`KStaircase.score_bounds` tabulates its raw score per
+window seq: a hot loop then tests a pair with one list index and a
+float comparison, and compares full keys only on an exact score tie.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import nan
 from typing import Any, Sequence
 
 __all__ = ["KStaircase"]
@@ -27,7 +36,7 @@ __all__ = ["KStaircase"]
 class KStaircase:
     """An immutable score-sorted staircase supporting dominance tests."""
 
-    __slots__ = ("_score_keys", "_age_keys")
+    __slots__ = ("_score_keys", "_age_keys", "_bounds")
 
     def __init__(self, points: Sequence[tuple[Any, int]] = ()) -> None:
         """``points`` are ``(score_key, age_key)``, ascending in score_key
@@ -37,6 +46,8 @@ class KStaircase:
         score_keys, age_keys = zip(*points) if points else ((), ())
         self._score_keys = list(score_keys)
         self._age_keys = list(age_keys)
+        #: ``(first_seq, last_seq, table)`` of the last score_bounds call
+        self._bounds: tuple[int, int, list[float]] | None = None
 
     def __len__(self) -> int:
         return len(self._score_keys)
@@ -57,11 +68,35 @@ class KStaircase:
         """
         return list(zip(self._score_keys[:count], self._age_keys[:count]))
 
-    def key_lists(self) -> tuple[list[Any], list[int]]:
-        """The points' score keys and age thresholds as two parallel
-        lists (do not mutate), for a hot loop that inlines
-        :meth:`dominates` as one ``bisect_left``."""
-        return self._score_keys, self._age_keys
+    def score_bounds(self, first_seq: int, last_seq: int) -> list[float]:
+        """Per seq in ``[first_seq, last_seq]``, the raw score of the
+        first point whose age threshold admits a pair whose older
+        member is that seq (``age_key <= -seq``); NaN where no point
+        does.  Do not mutate the list.
+
+        With ``bound = table[seq - first_seq]``, the pair ``(score,
+        -seq, uid)`` is dominated iff ``score > bound``, or ``score ==
+        bound`` and :meth:`dominates` says so on the full key; NaN
+        fails both comparisons.  The TA threshold key ``(c, -inf,
+        -inf)`` loses every tie, so it is dominated iff ``c > bound``.
+        The table is built on first use and kept for the same range.
+        """
+        cached = self._bounds
+        if cached is not None and cached[0] == first_seq \
+                and cached[1] == last_seq:
+            return cached[2]
+        table: list[float] = []
+        seq = first_seq  # the first seq without an entry yet
+        for key, age_key in zip(self._score_keys, self._age_keys):
+            if -age_key >= seq:
+                # the first point to admit the seqs up to -age_key
+                table += [key[0]] * (1 - age_key - seq)
+                seq = 1 - age_key
+        size = last_seq + 1 - first_seq
+        del table[size:]
+        table += [nan] * (size - len(table))
+        self._bounds = (first_seq, last_seq, table)
+        return table
 
     def dominates(self, score_key: Any, age_key: int) -> bool:
         """Whether the K-skyband (via this staircase) dominates the point

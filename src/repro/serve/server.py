@@ -116,13 +116,14 @@ _CLOSE = object()  # event-queue sentinel terminating a writer task
 #: what a lagged subscriber's delta frame ends with in place of ``}\n``
 _LAGGED_TAIL = b',"lagged":true}\n'
 
-#: bytes one ``recv_into`` can take on a client connection
+#: bytes one ``recv_into`` can take on a client connection or feed
 RECV_BUFFER_BYTES = 64 * 1024
 
 
 class _RecvIntoProtocol(asyncio.StreamReaderProtocol,
                         asyncio.BufferedProtocol):
-    """A stream protocol that receives into one reused buffer.
+    """A stream protocol that receives into one reused buffer: client
+    connections and a standby's replication feed use it.
 
     Without it the selector transport ``recv``s every receive into a
     fresh 256 KiB bytes object and shrinks it to the bytes received.

@@ -52,6 +52,7 @@ from repro.serve.checkpoint import restore_server_monitor
 from repro.serve.client import ServeClient
 from repro.serve.decisions import DecisionApplier
 from repro.serve.protocol import encode_frame
+from repro.serve.server import _RecvIntoProtocol
 from repro.serve.tenancy import DEFAULT_NAMESPACE, Namespace, NamespaceRegistry
 
 __all__ = ["StandbyTailer", "connect_standby"]
@@ -227,11 +228,18 @@ class StandbyTailer:
         """Consume the replication feed until stop, EOF, or error."""
         if self._sock is None:
             return
+        loop = asyncio.get_running_loop()
+        reader = asyncio.StreamReader(loop=loop)
+        # asyncio.open_connection's wiring, receiving into the server's
+        # reused buffer instead of a fresh 256 KiB bytes per recv
+        protocol = _RecvIntoProtocol(reader, loop=loop)
         try:
-            reader, writer = await asyncio.open_connection(sock=self._sock)
+            transport, _ = await loop.create_connection(lambda: protocol,
+                                                        sock=self._sock)
         except OSError:
             self._finish(disconnected=True)
             return
+        writer = asyncio.StreamWriter(transport, protocol, reader, loop)
         self._writer = writer
         self._sock = None
         try:

@@ -22,9 +22,15 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.scoring.local import LocalScoringFunction, Trend
+from repro.scoring.local import (
+    AbsoluteDifference,
+    LocalScoringFunction,
+    NegatedAbsoluteDifference,
+    Trend,
+)
 from repro.stream.manager import StreamManager
 from repro.stream.object import StreamObject
+from repro.structures.skiplist import SkipList, SkipNode
 
 __all__ = ["iter_pairs_by_local_score", "iter_pairs_by_age"]
 
@@ -44,10 +50,31 @@ def iter_pairs_by_local_score(
     ``INCREASING_AWAY`` walks outward from the node to the list's end,
     ``DECREASING_AWAY`` inward from that end to the node.  On equal
     scores the partner above ``obj`` comes first.
+
+    ``AbsoluteDifference`` and ``NegatedAbsoluteDifference`` themselves
+    (not subclasses, which may override ``score``) get cursors that
+    compute ``abs(reference - v)`` and ``-abs(reference - v)`` inline
+    instead of calling ``score``: same order, same floats.
     """
     skiplist = manager.attribute_list(attribute)
     own_node = manager.node_for(obj, attribute)
     reference = obj.values[attribute]
+    kind = type(local_fn)
+    if kind is AbsoluteDifference:
+        return _nearest_first(own_node, reference, attribute)
+    if kind is NegatedAbsoluteDifference:
+        return _farthest_first(skiplist, own_node, reference, attribute)
+    return _by_trends(skiplist, own_node, reference, attribute, local_fn)
+
+
+def _by_trends(
+    skiplist: SkipList,
+    own_node: SkipNode,
+    reference: float,
+    attribute: int,
+    local_fn: LocalScoringFunction,
+) -> Iterator[tuple[StreamObject, float]]:
+    """The cursor of any local function, from its declared trends."""
     score = local_fn.score
     above_outward = local_fn.trend_above is Trend.INCREASING_AWAY
     below_outward = local_fn.trend_below is Trend.INCREASING_AWAY
@@ -84,6 +111,73 @@ def iter_pairs_by_local_score(
         below = below.prev if below_outward else below.forward[0]
         if below is not below_end:
             below_score = score(reference, below.value.values[attribute])
+
+
+def _nearest_first(
+    own_node: SkipNode, reference: float, attribute: int
+) -> Iterator[tuple[StreamObject, float]]:
+    """``AbsoluteDifference``'s cursor: both sides walk outward."""
+    above = own_node.forward[0]
+    below = own_node.prev
+    if above is not None:
+        above_score = abs(reference - above.value.values[attribute])
+    if below is not None:
+        below_score = abs(reference - below.value.values[attribute])
+    while above is not None and below is not None:
+        if above_score <= below_score:
+            yield above.value, above_score
+            above = above.forward[0]
+            if above is not None:
+                above_score = abs(reference - above.value.values[attribute])
+        else:
+            yield below.value, below_score
+            below = below.prev
+            if below is not None:
+                below_score = abs(reference - below.value.values[attribute])
+    while above is not None:
+        yield above.value, above_score
+        above = above.forward[0]
+        if above is not None:
+            above_score = abs(reference - above.value.values[attribute])
+    while below is not None:
+        yield below.value, below_score
+        below = below.prev
+        if below is not None:
+            below_score = abs(reference - below.value.values[attribute])
+
+
+def _farthest_first(
+    skiplist: SkipList, own_node: SkipNode, reference: float, attribute: int
+) -> Iterator[tuple[StreamObject, float]]:
+    """``NegatedAbsoluteDifference``'s cursor: both sides walk inward
+    from the list's ends to ``own_node``."""
+    above = skiplist.node_at(-1)
+    below = skiplist.first_node()
+    if above is not own_node:
+        above_score = -abs(reference - above.value.values[attribute])
+    if below is not own_node:
+        below_score = -abs(reference - below.value.values[attribute])
+    while above is not own_node and below is not own_node:
+        if above_score <= below_score:
+            yield above.value, above_score
+            above = above.prev
+            if above is not own_node:
+                above_score = -abs(reference - above.value.values[attribute])
+        else:
+            yield below.value, below_score
+            below = below.forward[0]
+            if below is not own_node:
+                below_score = -abs(reference - below.value.values[attribute])
+    while above is not own_node:
+        yield above.value, above_score
+        above = above.prev
+        if above is not own_node:
+            above_score = -abs(reference - above.value.values[attribute])
+    while below is not own_node:
+        yield below.value, below_score
+        below = below.forward[0]
+        if below is not own_node:
+            below_score = -abs(reference - below.value.values[attribute])
 
 
 def iter_pairs_by_age(

@@ -21,7 +21,11 @@ import pytest
 
 from repro.exceptions import ReplicationError
 from repro.serve.client import ServeClient, ServeRequestError, apply_delta
-from repro.serve.server import BackgroundServer
+from repro.serve.server import (
+    RECV_BUFFER_BYTES,
+    BackgroundServer,
+    _RecvIntoProtocol,
+)
 from repro.serve.session import ServerMonitor
 from repro.serve.standby import StandbyTailer, connect_standby
 from repro.serve.tenancy import NamespaceRegistry, TenantSpec
@@ -81,6 +85,36 @@ class TestStandby:
                 for offset in range(0, 60, 20):
                     ack = p.ingest(rows(20, seed=offset + 1))
                 wait_for_seq(s, ack["now_seq"])
+                for query in ("q1", "q2"):
+                    assert json.dumps(s.snapshot(query=query)) == \
+                        json.dumps(p.snapshot(query=query))
+        finally:
+            standby.stop()
+
+    def test_feed_event_larger_than_the_receive_buffer(self, primary):
+        """The feed receives into the server's reused buffer; a rows
+        event spanning several receives arrives whole."""
+        registry, tailer = connect_standby("127.0.0.1", primary.port)
+        lines = []
+        read_line = tailer._read_line
+
+        async def recording(reader):
+            line = await read_line(reader)
+            lines.append(line)
+            return line
+
+        tailer._read_line = recording
+        standby = BackgroundServer(registry, role="standby",
+                                   standby=tailer).start()
+        try:
+            with ServeClient(port=primary.port) as p, \
+                    ServeClient(port=standby.port) as s:
+                ack = p.ingest(rows(3000, seed=21))
+                wait_for_seq(s, ack["now_seq"])
+                assert type(tailer._writer.transport.get_protocol()) \
+                    is _RecvIntoProtocol
+                assert max(len(line) for line in lines if line) \
+                    > RECV_BUFFER_BYTES
                 for query in ("q1", "q2"):
                     assert json.dumps(s.snapshot(query=query)) == \
                         json.dumps(p.snapshot(query=query))

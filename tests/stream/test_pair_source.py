@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scoring.local import (
     AbsoluteDifference,
+    CustomLocal,
     NegatedAbsoluteDifference,
     NegatedSumValues,
     SumValues,
+    Trend,
 )
 from repro.stream.manager import StreamManager
 from repro.stream.pair_source import iter_pairs_by_age, iter_pairs_by_local_score
@@ -100,3 +105,60 @@ class TestAgeOrder:
             max(p.age(now), new.age(now)) for p in iter_pairs_by_age(mgr, new)
         ]
         assert ages == sorted(ages)
+
+
+class TestFoldedCursors:
+    """``AbsoluteDifference`` and ``NegatedAbsoluteDifference`` compute
+    their scores inline; a ``CustomLocal`` of the same function and
+    trends takes the generic cursor, which calls ``score``."""
+
+    GENERIC = {
+        AbsoluteDifference: CustomLocal(
+            lambda x, y: abs(x - y), Trend.INCREASING_AWAY,
+            Trend.INCREASING_AWAY),
+        NegatedAbsoluteDifference: CustomLocal(
+            lambda x, y: -abs(x - y), Trend.DECREASING_AWAY,
+            Trend.DECREASING_AWAY),
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-5.0, 5.0),
+                st.sampled_from((0.0, -0.0, 1.0, 5e-324, -5e-324, 1e308,
+                                 -1e308, 0.25)) | st.floats(
+                                     allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1, max_size=30,
+        ),
+        st.sampled_from((AbsoluteDifference, NegatedAbsoluteDifference)),
+    )
+    def test_same_partners_and_bits_as_the_generic_cursor(self, rows, kind):
+        mgr = StreamManager(len(rows), 2)
+        for row in rows:
+            mgr.append(row)
+        for obj in mgr:
+            for attribute in (0, 1):
+                folded = [
+                    (p.seq, struct.pack("d", score))
+                    for p, score in iter_pairs_by_local_score(
+                        mgr, obj, attribute, kind())
+                ]
+                generic = [
+                    (p.seq, struct.pack("d", score))
+                    for p, score in iter_pairs_by_local_score(
+                        mgr, obj, attribute, self.GENERIC[kind])
+                ]
+                assert folded == generic
+                assert len(folded) == len(rows) - 1
+
+    def test_subclasses_keep_calling_score(self):
+        class Halved(AbsoluteDifference):
+            def score(self, x, y):
+                return abs(x - y) / 2
+
+        mgr = manager_with([1.0, 4.0])
+        new = mgr.append((2.0,)).new
+        out = list(iter_pairs_by_local_score(mgr, new, 0, Halved()))
+        assert [s for _, s in out] == [0.5, 1.0]
